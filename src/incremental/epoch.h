@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -15,22 +16,44 @@
 namespace tud {
 namespace incremental {
 
+/// The compiled plans of one epoch, one per distinct registered query
+/// root. The plans are co-owned with the writer's live plan cache, not
+/// copies: gates never change once appended to the circuit, and a plan
+/// reads nothing but the registry at Execute, so the live plan answers
+/// the epoch's own registry exactly as a private rebuild would. Filled
+/// by the writer before publication, read-only (const) afterwards.
+class EpochPlans {
+ public:
+  void Add(GateId root, std::shared_ptr<const JunctionTreePlan> plan) {
+    by_root_.emplace(root, std::move(plan));
+  }
+  /// The plan for `root`, or nullptr when no registered query of the
+  /// epoch has that root.
+  const JunctionTreePlan* Lookup(GateId root) const {
+    auto it = by_root_.find(root);
+    return it == by_root_.end() ? nullptr : it->second.get();
+  }
+
+ private:
+  std::unordered_map<GateId, std::shared_ptr<const JunctionTreePlan>>
+      by_root_;
+};
+
 /// One immutable, internally consistent version of a maintained
-/// instance: the (circuit, registry, plan cache) triple every query of
-/// the epoch evaluates against, plus the published query roots and the
-/// deletion tombstones in force. Snapshots are built entirely by the
-/// epoch writer before publication and never mutated afterwards —
-/// readers share them freely.
+/// instance: the registry copy and the plans every query of the epoch
+/// evaluates against, plus the published query roots and the deletion
+/// tombstones in force. Snapshots are built entirely by the epoch
+/// writer before publication and never mutated afterwards — readers
+/// share them freely.
 ///
-/// The plan cache is per-snapshot on purpose: plans compiled against
-/// epoch N's circuit must never answer epoch N+1 queries (a structural
-/// update can reuse a root gate id for different logic). GetOrBuild on
-/// it is thread-safe, so epoch readers still share each compiled plan.
+/// A snapshot holds no circuit: its plans are already compiled, and
+/// they pin exactly the roots the epoch publishes. Holding the plans by
+/// shared_ptr keeps them alive after the writer's cache drops them, and
+/// after the IncrementalSession itself is gone.
 struct SessionSnapshot {
   uint64_t epoch = 0;
-  std::shared_ptr<const BoolCircuit> circuit;
   std::shared_ptr<const EventRegistry> registry;
-  std::shared_ptr<ConcurrentPlanCache> plans;
+  std::shared_ptr<const EpochPlans> plans;
   /// Lineage roots of the registered queries, by query index.
   std::vector<GateId> query_roots;
   /// Tombstone pins of deleted facts (already reflected in the
@@ -90,7 +113,7 @@ class EpochManager {
       retired = std::exchange(current_, std::move(next));
     }
     // `retired` drops outside the lock: if this writer holds the last
-    // reference, the snapshot (circuit, plans, registry) is destroyed
+    // reference, the snapshot (registry, plan references) is destroyed
     // here rather than inside the critical section.
     return epoch;
   }

@@ -200,12 +200,18 @@ EngineResult IncrementalSession::Probability(QueryId query,
 
   const JunctionTreePlan* plan =
       plan_cache_.GetOrBuild(session_.pcc().circuit(), q.root);
-  const uint64_t full_before = q.delta.full_passes;
   EngineResult result;
+  result.engine = "incremental_jt";
+  if (plan->build_status() != EngineStatus::kOk) {
+    result.status = plan->build_status();
+    result.error_bound = 1.0;
+    CompactDirtyLog();
+    return result;
+  }
+  const uint64_t full_before = q.delta.full_passes;
   result.value =
       plan->ExecuteDelta(session_.pcc().events(), evidence, dirty_scratch_,
                          q.delta, &result.stats, options_.delta_full_fraction);
-  result.engine = "incremental_jt";
   if (q.delta.full_passes != full_before) {
     ++stats_.full_executes;
   } else {
@@ -270,21 +276,20 @@ void IncrementalSession::CompactDirtyLog() {
 }
 
 uint64_t IncrementalSession::PublishSnapshot(EpochManager& manager) {
-  PccInstance& pcc = session_.pcc();
+  const BoolCircuit& circuit = session_.pcc().circuit();
+  auto plans = std::make_shared<EpochPlans>();
   SessionSnapshot snap;
-  auto circuit = std::make_shared<const BoolCircuit>(pcc.circuit());
-  auto registry = std::make_shared<const EventRegistry>(pcc.events());
-  auto plans = std::make_shared<ConcurrentPlanCache>(options_.seed_topological);
   snap.query_roots.reserve(queries_.size());
   for (const RegisteredQuery& q : queries_) {
-    // Prewarm against the snapshot's own circuit copy: epoch readers
-    // never pay a cold Build, and the per-epoch cache is pinned to the
-    // object it will be read against.
-    plans->GetOrBuild(*circuit, q.root);
+    // Share the live plan. A requery since the root last changed has
+    // built it already; otherwise this is the one Build the next
+    // requery would have paid.
+    plan_cache_.GetOrBuild(circuit, q.root);
+    plans->Add(q.root, plan_cache_.Share(q.root));
     snap.query_roots.push_back(q.root);
   }
-  snap.circuit = std::move(circuit);
-  snap.registry = std::move(registry);
+  snap.registry =
+      std::make_shared<const EventRegistry>(session_.pcc().events());
   snap.plans = std::move(plans);
   snap.tombstones = patch_.tombstones();
   ++stats_.epochs_published;

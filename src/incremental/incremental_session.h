@@ -100,7 +100,7 @@ struct InsertedFact {
 /// Threading: the session is single-writer — updates, registration and
 /// Probability calls belong to one logical thread. Concurrent serving
 /// reads go through PublishSnapshot/EpochManager (see epoch.h), which
-/// hands immutable copies to any number of readers.
+/// hands immutable snapshots to any number of readers.
 class IncrementalSession {
  public:
   explicit IncrementalSession(QuerySession& session,
@@ -138,7 +138,9 @@ class IncrementalSession {
   /// P(query | evidence), served incrementally: dirty events since the
   /// query's last evaluation are collected from the session log and
   /// handed to ExecuteDelta on the cached plan. Results are
-  /// bit-identical to a fresh full evaluation of the current state.
+  /// bit-identical to a fresh full evaluation of the current state. A
+  /// lineage too wide for exact message passing returns
+  /// kResourceExhausted (error bound 1).
   EngineResult Probability(QueryId query, const Evidence& evidence = {});
 
   /// Governed Probability: the budget is checked at bag granularity
@@ -159,10 +161,12 @@ class IncrementalSession {
     stats_.tombstoned_facts = patch_.num_tombstones();
   }
 
-  /// Builds an immutable SessionSnapshot of the current state (deep
-  /// copies of circuit and registry, a fresh per-epoch plan cache
-  /// prewarmed with every registered root) and publishes it through
-  /// `manager`. Returns the stamped epoch.
+  /// Builds an immutable SessionSnapshot of the current state and
+  /// publishes it through `manager`. Returns the stamped epoch. The
+  /// snapshot copies the registry and the tombstones, and co-owns the
+  /// live cache's plan for every registered root (building only a plan
+  /// no requery has built yet); the append-only circuit is not copied,
+  /// so the cost is O(registry + queries).
   uint64_t PublishSnapshot(EpochManager& manager);
 
   const IncrementalStats& stats() const { return stats_; }
@@ -174,7 +178,7 @@ class IncrementalSession {
   /// recovered circuit diverges gate-for-gate from the logged one.
   int searched_width() const { return searched_width_; }
   void set_searched_width(int width) { searched_width_ = width; }
-  /// The live-path plan cache (per-epoch snapshot caches are separate).
+  /// The live-path plan cache. Published snapshots co-own its plans.
   ConcurrentPlanCache& plan_cache() { return plan_cache_; }
 
  private:

@@ -314,18 +314,30 @@ EngineResult JunctionTreeEngine::EstimateImpl(const BoolCircuit& circuit,
   EngineResult result;
   result.engine = name();
   if (budget.unlimited()) {
-    // The pre-existing exact path, untouched: no meter, no per-bag
-    // branches (the ungoverned hot loop stays the ungoverned hot loop).
+    // The exact path: no meter, no per-bag branches (the ungoverned hot
+    // loop stays the ungoverned hot loop). A plan too wide for exact
+    // message passing is refused with a status, as on the governed
+    // path, not executed.
     if (!cache_plans_) {
       JunctionTreePlan plan =
           JunctionTreePlan::Build(circuit, root, seed_topological_);
       plan.FillStats(&result.stats);
+      if (plan.build_status() != EngineStatus::kOk) {
+        result.status = plan.build_status();
+        result.error_bound = 1.0;
+        return result;
+      }
       result.value = plan.Execute(registry, evidence, ThreadScratch());
       return result;
     }
     BindCircuit(circuit);
     const JunctionTreePlan* plan = PlanFor(circuit, root);
     plan->FillStats(&result.stats);
+    if (plan->build_status() != EngineStatus::kOk) {
+      result.status = plan->build_status();
+      result.error_bound = 1.0;
+      return result;
+    }
     result.value = plan->Execute(registry, evidence, ThreadScratch());
     return result;
   }

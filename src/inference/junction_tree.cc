@@ -1289,6 +1289,15 @@ const JunctionTreePlan* ConcurrentPlanCache::Lookup(GateId root) const {
   return it == snapshot->end() ? nullptr : it->second.plan.get();
 }
 
+std::shared_ptr<const JunctionTreePlan> ConcurrentPlanCache::Share(
+    GateId root) const {
+  const Shard& shard = ShardFor(root);
+  const Map* snapshot = shard.published.load(std::memory_order_acquire);
+  if (snapshot == nullptr) return nullptr;
+  auto it = snapshot->find(root);
+  return it == snapshot->end() ? nullptr : it->second.plan;
+}
+
 const JunctionTreePlan* ConcurrentPlanCache::GetOrBuild(
     const BoolCircuit& circuit, GateId root, const QueryBudget* budget) {
   TUD_CHECK_LT(root, circuit.NumGates());

@@ -161,7 +161,9 @@ class JunctionTreeAnalysis {
 /// instances. Bags are capped at 26 vertices — beyond that the plan is
 /// built *failed* (build_status() = kResourceExhausted): the governed
 /// Execute entry points report it as a status, the legacy ones abort,
-/// and callers (AutoEngine) fall back to conditioning or sampling.
+/// so callers check build_status() first — the engines and sessions
+/// return the status, and AutoEngine falls back to conditioning or
+/// sampling.
 class JunctionTreePlan {
  public:
   /// Compiles the cone of `root`. With `seed_topological`, the
@@ -521,12 +523,17 @@ class ConcurrentPlanCache {
   /// Lock-free probe: the cached plan, or nullptr without building.
   const JunctionTreePlan* Lookup(GateId root) const;
 
+  /// Lookup that co-owns the result: the plan stays alive after an
+  /// Invalidate or Clear and after the cache itself is destroyed. What
+  /// an epoch snapshot holds its plans by (see incremental/epoch.h).
+  std::shared_ptr<const JunctionTreePlan> Share(GateId root) const;
+
   /// Drops the cached plan for `root`, if any, by republishing the
-  /// shard's map without it — the structural-update path: a patched
-  /// circuit can reuse a root gate id for different logic, so the stale
-  /// plan must not survive. The superseded snapshot is retired, not
-  /// freed, and a previously returned plan pointer stays valid for
-  /// in-flight readers (retire-not-free, as everywhere in this cache);
+  /// shard's map without it — the structural-update path: a root that
+  /// no registered query serves any more should not stay pinned by the
+  /// cache. The superseded snapshot is retired, not freed, and a
+  /// previously returned plan pointer stays valid for in-flight
+  /// readers (retire-not-free, as everywhere in this cache);
   /// only *new* GetOrBuild calls see the invalidation. Does not cancel
   /// an in-flight Build of the same root — the caller (the epoch
   /// writer) must not race Invalidate against GetOrBuild for the root

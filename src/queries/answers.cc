@@ -108,26 +108,9 @@ std::vector<AnswerLineage> ComputeAnswerLineages(
   DecomposedInstance dec = DecomposeInstance(pcc.instance());
   std::vector<AnswerLineage> result;
   for (const std::vector<Value>& tuple : candidates) {
-    // Renumber the bound query's variables densely (the lineage DP
-    // requires every variable to occur; binding removes some).
-    ConjunctiveQuery bound = BindVariables(query, free_vars, tuple);
-    std::vector<VarId> dense(query.NumVars(), UINT32_MAX);
-    ConjunctiveQuery renumbered;
-    uint32_t next = 0;
-    for (const QueryAtom& atom : bound.atoms()) {
-      std::vector<Term> terms;
-      for (const Term& t : atom.terms) {
-        if (t.is_var) {
-          if (dense[t.var] == UINT32_MAX) dense[t.var] = next++;
-          terms.push_back(Term::V(dense[t.var]));
-        } else {
-          terms.push_back(t);
-        }
-      }
-      renumbered.AddAtom(atom.relation, std::move(terms));
-    }
-    GateId gate = ComputeCqLineageOnDecomposition(renumbered, pcc, dec.ntd,
-                                                  dec.facts_at_node);
+    GateId gate = ComputeCqLineageOnDecomposition(
+        BindVariables(query, free_vars, tuple), pcc, dec.ntd,
+        dec.facts_at_node);
     if (pcc.circuit().kind(gate) == GateKind::kConst &&
         !pcc.circuit().const_value(gate)) {
       continue;  // Impossible answer (cannot happen for support answers).

@@ -51,10 +51,6 @@ class ConjunctiveQuery {
   /// Largest variable id mentioned plus one.
   uint32_t NumVars() const { return num_vars_; }
 
-  /// True iff every variable occurs in at least one atom (required by
-  /// the lineage construction; violated only by degenerate queries).
-  bool AllVarsOccur() const { return true; }
-
   /// Naive Boolean evaluation by backtracking join over the (certain)
   /// instance. Exponential in the query, polynomial in the data; this is
   /// the per-world ground truth for lineage tests.

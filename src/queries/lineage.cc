@@ -40,13 +40,43 @@ void Merge(StateMap& map, BoolCircuit& circuit, DpState state, GateId gate) {
   if (!inserted) it->second = circuit.AddOr(it->second, gate);
 }
 
-}  // namespace
+// The query with its variables renumbered densely, in order of first
+// occurrence.
+ConjunctiveQuery CompactVariables(const ConjunctiveQuery& query) {
+  std::vector<VarId> dense(query.NumVars(), UINT32_MAX);
+  ConjunctiveQuery compacted;
+  uint32_t next = 0;
+  for (const QueryAtom& atom : query.atoms()) {
+    std::vector<Term> terms;
+    terms.reserve(atom.terms.size());
+    for (const Term& t : atom.terms) {
+      if (t.is_var) {
+        if (dense[t.var] == UINT32_MAX) dense[t.var] = next++;
+        terms.push_back(Term::V(dense[t.var]));
+      } else {
+        terms.push_back(t);
+      }
+    }
+    compacted.AddAtom(atom.relation, std::move(terms));
+  }
+  return compacted;
+}
 
-GateId ComputeCqLineageOnDecomposition(
-    const ConjunctiveQuery& query, PccInstance& pcc,
-    const NiceTreeDecomposition& ntd,
-    const std::vector<std::vector<FactId>>& facts_at_node,
-    LineageStats* stats) {
+bool HasVariableInNoAtom(const ConjunctiveQuery& query) {
+  std::vector<bool> occurs(query.NumVars(), false);
+  for (const QueryAtom& atom : query.atoms()) {
+    for (const Term& t : atom.terms) {
+      if (t.is_var) occurs[t.var] = true;
+    }
+  }
+  return std::find(occurs.begin(), occurs.end(), false) != occurs.end();
+}
+
+// The lineage DP proper. Every variable of `query` occurs in some atom.
+GateId CqLineageDp(const ConjunctiveQuery& query, PccInstance& pcc,
+                   const NiceTreeDecomposition& ntd,
+                   const std::vector<std::vector<FactId>>& facts_at_node,
+                   LineageStats* stats) {
   const uint32_t num_vars = query.NumVars();
   const uint32_t num_atoms = static_cast<uint32_t>(query.NumAtoms());
   TUD_CHECK_LE(num_vars, 8u) << "fixed-query regime: too many variables";
@@ -54,17 +84,11 @@ GateId ComputeCqLineageOnDecomposition(
   TUD_CHECK_EQ(facts_at_node.size(), ntd.NumNodes());
   BoolCircuit& circuit = pcc.circuit();
 
-  // Every variable must occur in some atom, else the query is degenerate
-  // (an unused existential variable) and the DP below cannot witness it.
   std::vector<uint32_t> atoms_of_var(num_vars, 0);
   for (uint32_t a = 0; a < num_atoms; ++a) {
     for (const Term& t : query.atom(a).terms) {
       if (t.is_var) atoms_of_var[t.var] |= (1u << a);
     }
-  }
-  for (uint32_t v = 0; v < num_vars; ++v) {
-    TUD_CHECK_NE(atoms_of_var[v], 0u)
-        << "query variable x" << v << " occurs in no atom";
   }
   const uint32_t full_mask =
       num_atoms == 32 ? 0xFFFFFFFFu : ((1u << num_atoms) - 1);
@@ -225,6 +249,24 @@ GateId ComputeCqLineageOnDecomposition(
     if (state.satisfied == full_mask) accepting.push_back(gate);
   }
   return circuit.AddOr(std::move(accepting));
+}
+
+}  // namespace
+
+GateId ComputeCqLineageOnDecomposition(
+    const ConjunctiveQuery& query, PccInstance& pcc,
+    const NiceTreeDecomposition& ntd,
+    const std::vector<std::vector<FactId>>& facts_at_node,
+    LineageStats* stats) {
+  // A variable id that occurs in no atom (BindVariables keeps the ids of
+  // the variables it leaves) is an unused existential, which the DP
+  // cannot witness: renumber it away. A query whose variables all occur
+  // is not copied.
+  if (HasVariableInNoAtom(query)) {
+    return CqLineageDp(CompactVariables(query), pcc, ntd, facts_at_node,
+                       stats);
+  }
+  return CqLineageDp(query, pcc, ntd, facts_at_node, stats);
 }
 
 DecomposedInstance DecomposeInstance(const Instance& instance) {

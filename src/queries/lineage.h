@@ -36,9 +36,10 @@ struct LineageStats {
 /// node is a constant, so the construction is linear in the instance —
 /// the PTIME/linear-time claim of the theorems.
 ///
-/// Requirements: every query variable occurs in some atom; at most 8
-/// variables and 16 atoms (checked) — data complexity is the paper's
-/// regime, combined complexity is explicitly out of scope (§2.2 end).
+/// Variable ids that occur in no atom (as BindVariables leaves them)
+/// are compacted away first. Requirements: at most 8 distinct variables
+/// and 16 atoms (checked) — data complexity is the paper's regime,
+/// combined complexity is explicitly out of scope (§2.2 end).
 GateId ComputeCqLineage(const ConjunctiveQuery& query, PccInstance& pcc,
                         LineageStats* stats = nullptr);
 

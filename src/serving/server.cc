@@ -375,10 +375,10 @@ QueryBudget EpochedServingSession::MakeBudget(
 EngineResult EpochedServingSession::RunOne(size_t query_index,
                                            const Evidence& evidence,
                                            const QueryBudget& budget) const {
-  // One acquire load pins the whole epoch for this query: circuit,
-  // registry, plans, and roots are all read through `snap`, and the
-  // shared_ptr keeps the epoch alive even if the writer supersedes it
-  // mid-evaluation.
+  // One acquire load pins the whole epoch for this query: registry,
+  // plans, and roots are all read through `snap`, and the shared_ptr
+  // keeps the epoch (and the plans it co-owns) alive even if the writer
+  // supersedes it mid-evaluation.
   std::shared_ptr<const incremental::SessionSnapshot> snap =
       epochs_->Current();
   if (snap == nullptr) {
@@ -392,29 +392,23 @@ EngineResult EpochedServingSession::RunOne(size_t query_index,
     // handle): a normal answer, not a crash.
     return MakeStatusResult("epoched_jt", EngineStatus::kInvalidArgument);
   }
-  const GateId root = snap->query_roots[query_index];
+  // The writer compiled every published root before publication, so a
+  // reader never builds.
+  const JunctionTreePlan* plan =
+      snap->plans->Lookup(snap->query_roots[query_index]);
   EngineResult result;
   result.engine = "epoched_jt";
-  if (budget.unlimited()) {
-    const JunctionTreePlan* plan =
-        snap->plans->GetOrBuild(*snap->circuit, root);
-    plan->FillStats(&result.stats);
-    result.value = plan->Execute(*snap->registry, evidence,
-                                 TaskScheduler::CurrentScratch());
-    return result;
-  }
-  if (budget.cancelled()) {
-    return MakeStatusResult("epoched_jt", EngineStatus::kCancelled);
-  }
-  if (budget.past_deadline()) {
-    return MakeStatusResult("epoched_jt", EngineStatus::kDeadlineExceeded);
-  }
-  const JunctionTreePlan* plan =
-      snap->plans->GetOrBuild(*snap->circuit, root, &budget);
   plan->FillStats(&result.stats);
   if (plan->build_status() != EngineStatus::kOk) {
+    // Too wide for exact message passing: a typed refusal, governed or
+    // not.
     result.status = plan->build_status();
     result.error_bound = 1.0;
+    return result;
+  }
+  if (budget.unlimited()) {
+    result.value = plan->Execute(*snap->registry, evidence,
+                                 TaskScheduler::CurrentScratch());
     return result;
   }
   double value = 0.0;

@@ -260,12 +260,13 @@ class ServingSession {
 /// publishing new epochs concurrently.
 ///
 /// Each query grabs the current SessionSnapshot exactly once (one
-/// acquire load) and evaluates entirely inside it — circuit, registry,
-/// plan cache, and query roots all come from the same snapshot, so a
-/// reader can never observe a half-updated state, no matter how many
-/// epochs the writer publishes mid-query. The snapshot's shared_ptr
-/// keeps a superseded epoch alive until its last in-flight reader
-/// drains (see incremental/epoch.h).
+/// acquire load) and evaluates entirely inside it — registry, plans,
+/// and query roots all come from the same snapshot, so a reader can
+/// never observe a half-updated state, no matter how many epochs the
+/// writer publishes mid-query. A reader executes the snapshot's plan
+/// for the query and never builds one. The snapshot's shared_ptr keeps
+/// a superseded epoch alive until its last in-flight reader drains
+/// (see incremental/epoch.h).
 ///
 /// Queries are addressed by *registered query index* (the order of
 /// Register* calls on the IncrementalSession), not by gate id: gate ids

@@ -588,6 +588,79 @@ TEST(EpochedGovernanceTest, StatusesInsteadOfExceptions) {
 }
 
 // ---------------------------------------------------------------------------
+// Failed plans on the unlimited-budget paths
+// ---------------------------------------------------------------------------
+
+// The canonical reachability question on ktree:400x3: its lineage is too
+// wide for exact message passing, so Build returns a failed plan. The
+// session answers through a plan-caching JunctionTreeEngine, which has
+// no fallback rung.
+struct WideFixture {
+  QuerySession session;
+  Value source = 0;
+  Value target = 0;
+};
+
+WideFixture MakeWideKTree() {
+  const workloads::InstanceSpec spec =
+      *workloads::ParseInstanceSpec("ktree:400x3");
+  TidInstance tid = workloads::MakeInstance(spec);
+  const auto [source, target] = workloads::CanonicalEndpoints(spec);
+  return WideFixture{
+      QuerySession::FromCInstance(
+          tid.ToPcInstance(),
+          std::make_unique<JunctionTreeEngine>(/*seed_topological=*/false,
+                                               /*cache_plans=*/true)),
+      source, target};
+}
+
+void ExpectRefused(const EngineResult& result) {
+  EXPECT_EQ(result.status, EngineStatus::kResourceExhausted);
+  EXPECT_EQ(result.error_bound, 1.0);
+}
+
+TEST(FailedPlanTest, UnlimitedSessionAndServingPathsRefuse) {
+  WideFixture f = MakeWideKTree();
+  const GateId lineage =
+      f.session.ReachabilityLineage(0, f.source, f.target);
+  ExpectRefused(f.session.Probability(lineage));
+  // The refusal is cached as a negative plan: a repeat refuses again.
+  ExpectRefused(f.session.Probability(lineage));
+
+  // The engine's uncached branch refuses too.
+  JunctionTreeEngine uncached;
+  ExpectRefused(uncached.Estimate(f.session.pcc().circuit(), lineage,
+                                  f.session.pcc().events()));
+
+  ServingOptions options;
+  options.num_threads = 1;
+  ServingSession serving = ServingSession::Over(f.session, options);
+  ExpectRefused(serving.Submit(lineage).get());
+  ExpectRefused(serving.Evaluate(lineage));
+  serving.Drain();
+}
+
+TEST(FailedPlanTest, IncrementalAndEpochReaderRefuse) {
+  WideFixture f = MakeWideKTree();
+  incremental::IncrementalSession inc(f.session);
+  const incremental::QueryId q =
+      inc.RegisterReachability(0, f.source, f.target);
+  ExpectRefused(inc.Probability(q));
+
+  incremental::EpochManager epochs;
+  inc.PublishSnapshot(epochs);
+  ServingOptions options;
+  options.num_threads = 1;
+  serving::EpochedServingSession serving(epochs, options);
+  ExpectRefused(serving.Evaluate(q));
+  ExpectRefused(serving.Submit(q).get());
+  QueryOptions generous;
+  generous.max_table_cells = kGenerousCells;
+  ExpectRefused(serving.Submit(q, {}, generous).get());
+  serving.Drain();
+}
+
+// ---------------------------------------------------------------------------
 // Satellite 2: scheduler exception containment
 // ---------------------------------------------------------------------------
 

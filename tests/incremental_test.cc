@@ -17,7 +17,10 @@
 //    dropped plans while previously returned pointers stay executable
 //    (retire-not-free);
 //  - EpochManager publication: stamped epochs, snapshot immutability,
-//    and retire-after-last-reader via the shared_ptr refcount.
+//    and retire-after-last-reader via the shared_ptr refcount;
+//  - PublishSnapshot shares the live cache's plans (no rebuild, no
+//    circuit copy): a snapshot outlives its session, and epoch readers
+//    stay bit-identical to the live session across inserts and deletes.
 
 #include <cstdint>
 #include <memory>
@@ -30,6 +33,7 @@
 #include "incremental/incremental_session.h"
 #include "inference/junction_tree.h"
 #include "queries/query_session.h"
+#include "serving/server.h"
 #include "uncertain/c_instance.h"
 #include "uncertain/tid_instance.h"
 #include "util/rng.h"
@@ -486,6 +490,27 @@ TEST(ConcurrentPlanCacheTest, ClearDropsEverythingRetireNotFree) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+TEST(ConcurrentPlanCacheTest, ShareCoOwnsThePlan) {
+  LadderFixture f = LadderFixture::Make(8, 81);
+  const EventRegistry& events = f.session.pcc().events();
+  std::shared_ptr<const JunctionTreePlan> shared;
+  double value = 0.0;
+  {
+    ConcurrentPlanCache cache;
+    EXPECT_EQ(cache.Share(f.root), nullptr);  // Share never builds.
+    const JunctionTreePlan* plan =
+        cache.GetOrBuild(f.session.pcc().circuit(), f.root);
+    value = plan->Execute(events);
+    shared = cache.Share(f.root);
+    EXPECT_EQ(shared.get(), plan);
+    EXPECT_EQ(cache.builds(), 1u);
+    cache.Invalidate(f.root);
+    EXPECT_EQ(cache.Share(f.root), nullptr);
+  }
+  // The cache is gone; the shared plan is not.
+  EXPECT_EQ(shared->Execute(events), value);
+}
+
 // ---------------------------------------------------------------------------
 // EpochManager
 // ---------------------------------------------------------------------------
@@ -546,6 +571,107 @@ TEST(EpochManagerTest, PublishedSnapshotServesQueries) {
   ASSERT_NE(plan2, nullptr);
   EXPECT_EQ(plan2->Execute(*snap2->registry), inc.Probability(q).value);
   EXPECT_EQ(inc.stats().epochs_published, 2u);
+}
+
+TEST(EpochManagerTest, PublishAfterRequeryBuildsNoPlan) {
+  Rng gen(87);
+  TidInstance tid = workloads::LadderTid(gen, 10);
+  QuerySession session = QuerySession::FromCInstance(tid.ToPcInstance());
+  IncrementalSession inc(session);
+  const QueryId q0 = inc.RegisterReachability(0, 0, 18);
+  const QueryId q1 = inc.RegisterReachability(0, 1, 17);
+  inc.Probability(q0);
+  inc.Probability(q1);
+  const size_t builds = inc.plan_cache().builds();
+
+  EpochManager epochs;
+  inc.PublishSnapshot(epochs);
+  EXPECT_EQ(inc.plan_cache().builds(), builds);
+  std::shared_ptr<const SessionSnapshot> snap = epochs.Current();
+  for (QueryId q : {q0, q1}) {
+    const GateId root = snap->query_roots[q];
+    EXPECT_EQ(root, inc.root(q));
+    ASSERT_NE(snap->plans->Lookup(root), nullptr);
+    // The epoch holds the live plan object itself, not a rebuild.
+    EXPECT_EQ(snap->plans->Lookup(root), inc.plan_cache().Lookup(root));
+  }
+
+  // A root no requery has seen since an insert moved it is built once,
+  // by the publish, and the next requery reuses that plan.
+  inc.InsertFact(0, {0, 2}, 0.6);
+  ASSERT_GT(inc.stats().lineage_recomputes, 0u);
+  inc.PublishSnapshot(epochs);
+  const size_t after_publish = inc.plan_cache().builds();
+  EXPECT_GT(after_publish, builds);
+  inc.Probability(q0);
+  inc.Probability(q1);
+  EXPECT_EQ(inc.plan_cache().builds(), after_publish);
+}
+
+TEST(EpochManagerTest, SnapshotOutlivesItsSession) {
+  EpochManager epochs;
+  double live = 0.0;
+  {
+    Rng gen(89);
+    TidInstance tid = workloads::LadderTid(gen, 10);
+    QuerySession session = QuerySession::FromCInstance(tid.ToPcInstance());
+    IncrementalSession inc(session);
+    const QueryId q = inc.RegisterReachability(0, 0, 18);
+    inc.InsertFact(0, {0, 2}, 0.6);
+    live = inc.Probability(q).value;
+    inc.PublishSnapshot(epochs);
+  }
+  // Session, circuit and live plan cache are destroyed; the epoch still
+  // owns its registry and plans, and answers bit-identically.
+  std::shared_ptr<const SessionSnapshot> snap = epochs.Current();
+  const JunctionTreePlan* plan = snap->plans->Lookup(snap->query_roots[0]);
+  ASSERT_NE(plan, nullptr);
+  EXPECT_EQ(plan->Execute(*snap->registry), live);
+  serving::EpochedServingSession reader(epochs);
+  EXPECT_EQ(reader.Evaluate(0).value, live);
+  EXPECT_EQ(reader.Submit(0).get().value, live);
+  reader.Drain();
+}
+
+TEST(EpochManagerTest, ReaderMatchesLiveAcrossInsertAndDelete) {
+  Rng gen(97);
+  TidInstance tid = workloads::LadderTid(gen, 10);
+  QuerySession session = QuerySession::FromCInstance(tid.ToPcInstance());
+  IncrementalSession inc(session);
+  const QueryId q0 = inc.RegisterReachability(0, 0, 18);
+  const QueryId q1 = inc.RegisterReachability(0, 1, 17);
+  EpochManager epochs;
+  serving::EpochedServingSession reader(epochs);
+
+  auto publish_and_compare = [&] {
+    const double live0 = inc.Probability(q0).value;
+    const double live1 = inc.Probability(q1).value;
+    inc.PublishSnapshot(epochs);
+    EXPECT_EQ(reader.Evaluate(q0).value, live0);
+    EXPECT_EQ(reader.Evaluate(q1).value, live1);
+    EXPECT_EQ(reader.Submit(q0).get().value, live0);
+    EXPECT_EQ(reader.Submit(q1).get().value, live1);
+    return live0;
+  };
+
+  const double before = publish_and_compare();
+  std::shared_ptr<const SessionSnapshot> old_epoch = epochs.Current();
+  const GateId old_root = inc.root(q0);
+
+  const InsertedFact ins = inc.InsertFact(0, {0, 2}, 0.7);
+  ASSERT_NE(inc.root(q0), old_root);
+  const double inserted = publish_and_compare();
+  EXPECT_NE(inserted, before);
+
+  inc.DeleteFact(ins.fact);
+  inc.UpdateProbability(3, 0.25);
+  publish_and_compare();
+
+  // The superseded epoch still answers with its own plans and registry.
+  const JunctionTreePlan* old_plan = old_epoch->plans->Lookup(old_root);
+  ASSERT_NE(old_plan, nullptr);
+  EXPECT_EQ(old_plan->Execute(*old_epoch->registry), before);
+  reader.Drain();
 }
 
 // ---------------------------------------------------------------------------

@@ -244,12 +244,19 @@ TEST(LineageTest, StatsReportBoundedStates) {
   EXPECT_LE(stats.max_states_per_node, 200u);
 }
 
-TEST(LineageDeathTest, RejectsUnboundQueryVariable) {
+TEST(LineageTest, CompactsVariableThatOccursInNoAtom) {
   PccInstance pcc(MakeRst());
-  pcc.AddFact(0, {0}, pcc.circuit().AddConst(true));
-  ConjunctiveQuery q;
-  q.AddAtom(0, {Term::V(1)});  // Variable 0 never occurs.
-  EXPECT_DEATH(ComputeCqLineage(q, pcc), "occurs in no atom");
+  EventId e = pcc.events().Register("e", 0.4);
+  pcc.AddFact(0, {0}, pcc.circuit().AddVar(e));
+  ConjunctiveQuery gap;
+  gap.AddAtom(0, {Term::V(1)});  // Variable 0 never occurs.
+  ConjunctiveQuery dense;
+  dense.AddAtom(0, {Term::V(0)});
+  // The DP renumbers x1 to x0, so both queries hash-cons to one gate.
+  const GateId lineage = ComputeCqLineage(gap, pcc);
+  EXPECT_EQ(lineage, ComputeCqLineage(dense, pcc));
+  EXPECT_NEAR(JunctionTreeProbability(pcc.circuit(), lineage, pcc.events()),
+              0.4, 1e-12);
 }
 
 

@@ -14,11 +14,13 @@
 #include "gtest/gtest.h"
 #include "inference/exhaustive.h"
 #include "inference/junction_tree.h"
+#include "queries/answers.h"
 #include "queries/lineage.h"
 #include "queries/query_session.h"
 #include "queries/reachability.h"
 #include "uncertain/c_instance.h"
 #include "uncertain/tid_instance.h"
+#include "uncertain/worlds.h"
 #include "util/rng.h"
 
 namespace tud {
@@ -61,6 +63,30 @@ TEST(QuerySessionTest, CqQueryMatchesFreshDerivation) {
   EngineResult result = session.Query(q);
   EXPECT_NEAR(result.value, expected, 1e-9);
   EXPECT_EQ(result.error_bound, 0.0);
+}
+
+// BindVariables keeps the ids of the variables it leaves, so binding x0
+// of the RST path leaves a query whose only variable is x1; CqLineage
+// compacts it instead of rejecting it.
+TEST(QuerySessionTest, CqLineageOfBoundRstPathMatchesEnumeration) {
+  RelationId r, s, t;
+  Schema schema = RstSchema(&r, &s, &t);
+  Rng rng(17);
+  TidInstance tid = SmallRstTid(rng, r, s, t, schema, 3);
+  QuerySession session = QuerySession::FromCInstance(tid.ToPcInstance());
+  const ConjunctiveQuery q = ConjunctiveQuery::RstPath(r, s, t);
+  for (Value c = 0; c < 4; ++c) {
+    const ConjunctiveQuery bound = BindVariables(q, {0}, {c});
+    const GateId lineage = session.CqLineage(bound);
+    const double oracle = ProbabilityByEnumeration(
+        session.pcc().events(), [&](const Valuation& v) {
+          return bound.EvaluateBool(session.pcc().World(v));
+        });
+    EXPECT_NEAR(JunctionTreeProbability(session.pcc().circuit(), lineage,
+                                        session.pcc().events()),
+                oracle, 1e-12)
+        << "x0 = " << c;
+  }
 }
 
 TEST(QuerySessionTest, ManyQueriesShareOneDecomposition) {

@@ -347,12 +347,13 @@ TEST(ServingConcurrencyTest, CoalescingBackpressureBlocksNotDrops) {
     EXPECT_EQ(futures[q].get().value, p.expected[q]) << "query " << q;
 }
 
-// The epoch stress: one writer thread keeps updating probabilities and
-// publishing epochs through an EpochManager while 7 reader threads
-// serve queries off whatever epoch is current. Every reader answer must
-// be bit-identical to the full evaluation the writer recorded for the
-// epoch it read — a torn snapshot (plan from one epoch, registry from
-// another) would miss every recorded value. Run under TSan in CI.
+// The epoch stress: one writer thread keeps updating probabilities,
+// inserting facts and publishing epochs through an EpochManager while
+// 7 reader threads serve queries off whatever epoch is current. Every
+// reader answer must be bit-identical to the full evaluation the writer
+// recorded for the epoch it read — a torn snapshot (plan from one
+// epoch, registry from another) would miss every recorded value. Run
+// under TSan in CI.
 TEST(ServingConcurrencyTest, EpochPublicationStressEightThreads) {
   constexpr uint32_t kRungs = 12;
   constexpr uint64_t kEpochs = 30;
@@ -425,8 +426,18 @@ TEST(ServingConcurrencyTest, EpochPublicationStressEightThreads) {
     });
 
   // The writer: epoch k moves a few probabilities deterministically,
-  // records the bit-exact answers, and publishes.
+  // records the bit-exact answers, and publishes. Every kInsertEvery-th
+  // epoch also inserts a parallel copy of an existing edge, which moves
+  // both query roots: the live cache drops plans that older snapshots
+  // (and the readers executing them) still hold.
+  constexpr uint64_t kInsertEvery = 4;
   for (uint64_t k = 2; k <= kEpochs; ++k) {
+    if (k % kInsertEvery == 0) {
+      const Instance& instance = session.pcc().instance();
+      const std::vector<Value> args =
+          instance.fact(static_cast<FactId>(k % instance.NumFacts())).args;
+      inc.InsertFact(0, args, 0.5);
+    }
     const size_t num_events = session.pcc().events().size();
     inc.UpdateProbability(static_cast<EventId>(k % num_events),
                           0.05 + 0.9 * static_cast<double>(k) / kEpochs);
@@ -446,6 +457,8 @@ TEST(ServingConcurrencyTest, EpochPublicationStressEightThreads) {
   EXPECT_EQ(serving.Evaluate(0).value, expected[kEpochs][0]);
   EXPECT_EQ(serving.Evaluate(1).value, expected[kEpochs][1]);
   EXPECT_EQ(inc.stats().epochs_published, kEpochs);
+  EXPECT_EQ(inc.stats().inserts, kEpochs / kInsertEvery);
+  EXPECT_GT(inc.stats().plans_invalidated, 0u);
 }
 
 }  // namespace
