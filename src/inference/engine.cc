@@ -1066,8 +1066,9 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
     if (rbin.kind(rroot) != GateKind::kConst) {
       Graph rgraph(static_cast<uint32_t>(rbin.NumGates()));
       for (const auto& [a, b] : rbin.PrimalEdges()) rgraph.AddEdge(a, b);
-      rwidth = static_cast<int>(
-          EliminationWidth(rgraph, CircuitMinDegreeOrder(rgraph)));
+      EliminationProfile profile;
+      CircuitMinDegreeOrder(rgraph, &profile);
+      rwidth = static_cast<int>(profile.width);
     }
     if (rwidth <= limits_.jt_max_width) {
       // Hand the selected core over: the hybrid engine would otherwise

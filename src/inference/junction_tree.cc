@@ -23,6 +23,28 @@ constexpr double kOrTable[8] = {1, 0, 0, 1, 0, 1, 0, 1};
 constexpr double kTrueTable[2] = {0, 1};
 constexpr double kFalseTable[2] = {1, 0};
 
+// Bags of an executable plan hold at most this many vertices (width
+// 25): wider decompositions are refused before lowering, so every bit
+// list of a lowered bag fits a fixed array of this size.
+constexpr int kMaxBagBits = 26;
+
+// Fills out[idx] for idx < 2^k with the index that bag entry idx maps to
+// when bag bit bits[i] becomes bit i of the result (a factor's table
+// index, or a message's index over a separator). By doubling: with
+// delta[j] the result bit that bag bit j sets (0 if none),
+// out[2^j + t] = out[t] + delta[j], one add per entry.
+template <typename T>
+void FillIndexMap(const uint8_t* bits, uint32_t count, uint32_t k, T* out) {
+  T delta[kMaxBagBits] = {};
+  for (uint32_t i = 0; i < count; ++i) delta[bits[i]] = T{1} << i;
+  out[0] = 0;
+  for (uint32_t j = 0; j < k; ++j) {
+    const size_t half = size_t{1} << j;
+    const T d = delta[j];
+    for (size_t t = 0; t < half; ++t) out[half + t] = out[t] + d;
+  }
+}
+
 size_t BitOf(const std::vector<VertexId>& bag, VertexId v) {
   auto it = std::lower_bound(bag.begin(), bag.end(), v);
   TUD_CHECK(it != bag.end() && *it == v);
@@ -110,9 +132,10 @@ JunctionTreeAnalysis JunctionTreeAnalysis::AnalyzeBatch(
 
 int JunctionTreeAnalysis::MinDegreeWidth() {
   if (!has_min_degree_) {
-    md_order_ = CircuitMinDegreeOrder(graph_);
-    md_width_ = static_cast<int>(
-        EliminationWidthAndCost(graph_, md_order_, &md_cost_));
+    EliminationProfile profile;
+    md_order_ = CircuitMinDegreeOrder(graph_, &profile);
+    md_width_ = static_cast<int>(profile.width);
+    md_cost_ = profile.table_cost;
     has_min_degree_ = true;
   }
   return md_width_;
@@ -200,58 +223,17 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
   const uint32_t n = static_cast<uint32_t>(a.gates_.size());
   plan.num_gates_ = n;
 
-  // 1. Factors: one per gate, plus (single-root plans) the root-is-true
-  // evidence indicator. Scope bit 0 is the gate output, bits 1.. its
-  // inputs.
-  struct TmpFactor {
-    const double* table;  ///< Static gate table; nullptr = variable.
-    EventId event;        ///< Variable factors only.
-    std::vector<VertexId> scope;
-  };
-  std::vector<TmpFactor> factors;
-  factors.reserve(n + 1);
-  for (VertexId v = 0; v < n; ++v) {
-    const GateId g = a.gates_[v];
-    TmpFactor f{nullptr, 0, {v}};
-    switch (bin.kind(g)) {
-      case GateKind::kConst:
-        f.table = bin.const_value(g) ? kTrueTable : kFalseTable;
-        break;
-      case GateKind::kVar:
-        f.event = bin.var(g);
-        break;
-      case GateKind::kNot:
-        TUD_CHECK_EQ(bin.inputs(g).size(), 1u);
-        f.scope.push_back(a.vertex_of_[bin.inputs(g)[0]]);
-        f.table = kNotTable;
-        break;
-      case GateKind::kAnd:
-      case GateKind::kOr:
-        TUD_CHECK_EQ(bin.inputs(g).size(), 2u)
-            << "gate fan-in must be binarised first";
-        for (GateId in : bin.inputs(g)) {
-          f.scope.push_back(a.vertex_of_[in]);
-        }
-        f.table = bin.kind(g) == GateKind::kAnd ? kAndTable : kOrTable;
-        break;
-    }
-    factors.push_back(std::move(f));
-  }
-  if (!batch) {
-    factors.push_back(TmpFactor{kTrueTable, 0, {a.vertex_of_[a.roots_[0]]}});
-  }
-
-  // 2. Tree decomposition. With `seed_topological`, first try the
+  // 1. Tree decomposition. With `seed_topological`, first try the
   // circuit's own construction order: dense vertex ids ascend with gate
   // ids, so the identity order eliminates inputs before the gates that
   // read them — for DP-produced lineage circuits this follows the tree
   // the circuit was built along, and costs no ordering work at all.
   // Otherwise (or when the seed comes out wide) fall back to the
-  // analysis's O(1)-per-operation bucket min-degree order — on circuit
-  // primal graphs it matches min-fill's width at a fraction of the cost
-  // — and only when that too is wide (where an extra unit of width
-  // doubles every message table) pay for min-fill and keep the
-  // narrower.
+  // analysis's O(1)-per-operation bucket min-degree order, and only when
+  // that too is wide (where an extra unit of width doubles every message
+  // table) pay for min-fill and keep the narrower. The orderings report
+  // their own width, so an order that would lose the comparison is
+  // never turned into a decomposition.
   constexpr int kAcceptWidth = 10;
   std::vector<VertexId> order;
   std::vector<BagId> bag_of_vertex;
@@ -265,25 +247,20 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     accepted = td.Width() <= kAcceptWidth;
   }
   if (!accepted) {
-    a.MinDegreeWidth();  // Ensures the cached min-degree order.
-    std::vector<BagId> md_bag_of;
-    TreeDecomposition md_td = TreeDecomposition::FromEliminationOrder(
-        a.graph_, a.md_order_, &md_bag_of);
-    if (!seed_topological || md_td.Width() < td.Width()) {
-      order = a.md_order_;
-      td = std::move(md_td);
-      bag_of_vertex = std::move(md_bag_of);
+    const int md_width = a.MinDegreeWidth();  // Caches the order too.
+    if (!seed_topological || md_width < td.Width()) {
+      order = std::move(a.md_order_);  // This Build consumes `a`.
+      td = TreeDecomposition::FromEliminationOrder(a.graph_, order,
+                                                   &bag_of_vertex);
     }
   }
   if (td.Width() > kAcceptWidth) {
-    std::vector<VertexId> fill_order = PeeledMinFillOrder(a.graph_);
-    std::vector<BagId> fill_bag_of;
-    TreeDecomposition fill_td = TreeDecomposition::FromEliminationOrder(
-        a.graph_, fill_order, &fill_bag_of);
-    if (fill_td.Width() < td.Width()) {
+    EliminationProfile fill;
+    std::vector<VertexId> fill_order = PeeledMinFillOrder(a.graph_, &fill);
+    if (static_cast<int>(fill.width) < td.Width()) {
       order = std::move(fill_order);
-      td = std::move(fill_td);
-      bag_of_vertex = std::move(fill_bag_of);
+      td = TreeDecomposition::FromEliminationOrder(a.graph_, order,
+                                                   &bag_of_vertex);
     }
   }
   std::vector<uint32_t> position(n);
@@ -301,7 +278,7 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     // exceed 63 vertices.
     plan.total_cells_ += std::ldexp(1.0, static_cast<int>(td.bag(b).size()));
   }
-  if (td.Width() > 25) {
+  if (td.Width() > kMaxBagBits - 1) {
     plan.build_status_ = EngineStatus::kResourceExhausted;
     return plan;
   }
@@ -325,18 +302,72 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     }
   }
 
+  // 2. Factors: one per gate, plus (single-root plans) the root-is-true
+  // evidence indicator. Scope bit 0 is the gate output, bits 1.. its
+  // inputs.
+  struct TmpFactor {
+    const double* table;  ///< Static gate table; nullptr = variable.
+    EventId event;        ///< Variable factors only.
+    uint32_t size;        ///< Scope entries in use.
+    VertexId scope[3];
+  };
+  std::vector<TmpFactor> factors;
+  factors.reserve(n + 1);
+  for (VertexId v = 0; v < n; ++v) {
+    const GateId g = a.gates_[v];
+    TmpFactor f{nullptr, 0, 1, {v}};
+    switch (bin.kind(g)) {
+      case GateKind::kConst:
+        f.table = bin.const_value(g) ? kTrueTable : kFalseTable;
+        break;
+      case GateKind::kVar:
+        f.event = bin.var(g);
+        break;
+      case GateKind::kNot:
+        TUD_CHECK_EQ(bin.inputs(g).size(), 1u);
+        f.scope[f.size++] = a.vertex_of_[bin.inputs(g)[0]];
+        f.table = kNotTable;
+        break;
+      case GateKind::kAnd:
+      case GateKind::kOr:
+        TUD_CHECK_EQ(bin.inputs(g).size(), 2u)
+            << "gate fan-in must be binarised first";
+        for (GateId in : bin.inputs(g)) f.scope[f.size++] = a.vertex_of_[in];
+        f.table = bin.kind(g) == GateKind::kAnd ? kAndTable : kOrTable;
+        break;
+    }
+    factors.push_back(f);
+  }
+  if (!batch) {
+    factors.push_back(
+        TmpFactor{kTrueTable, 0, 1, {a.vertex_of_[a.roots_[0]]}});
+  }
+
   // 3. Assign each factor to the bag of the earliest-eliminated vertex
   // of its scope (that bag contains the whole scope: the scope is a
-  // clique).
+  // clique). Bag b's factors are bag_factors[factors_begin[b] ..
+  // factors_begin[b + 1]), in factor order.
   const size_t num_bags = td.NumBags();
-  std::vector<std::vector<uint32_t>> bag_factors(num_bags);
+  std::vector<uint32_t> factor_bag(factors.size());
+  std::vector<uint32_t> factors_begin(num_bags + 1, 0);
   for (uint32_t fi = 0; fi < factors.size(); ++fi) {
-    const std::vector<VertexId>& scope = factors[fi].scope;
-    VertexId earliest = scope[0];
-    for (VertexId v : scope) {
-      if (position[v] < position[earliest]) earliest = v;
+    const TmpFactor& f = factors[fi];
+    VertexId earliest = f.scope[0];
+    for (uint32_t i = 1; i < f.size; ++i) {
+      if (position[f.scope[i]] < position[earliest]) earliest = f.scope[i];
     }
-    bag_factors[bag_of_vertex[earliest]].push_back(fi);
+    factor_bag[fi] = bag_of_vertex[earliest];
+    ++factors_begin[factor_bag[fi] + 1];
+  }
+  for (size_t b = 0; b < num_bags; ++b) {
+    factors_begin[b + 1] += factors_begin[b];
+  }
+  std::vector<uint32_t> bag_factors(factors.size());
+  {
+    std::vector<uint32_t> fill(factors_begin.begin(), factors_begin.end() - 1);
+    for (uint32_t fi = 0; fi < factors.size(); ++fi) {
+      bag_factors[fill[factor_bag[fi]]++] = fi;
+    }
   }
 
   // Decompositions from elimination orders have one bag per vertex, and
@@ -346,27 +377,63 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
   std::vector<VertexId> vertex_of_bag(num_bags, UINT32_MAX);
   for (VertexId v = 0; v < n; ++v) vertex_of_bag[bag_of_vertex[v]] = v;
 
-  // 4. Lower each bag to its flat program: pre-fused static table,
+  // 4. Size every pool from the decomposition, so lowering fills them in
+  // place and never grows one: a plan's arrays are allocated once, at
+  // their final size. Every non-root bag has one edge to its parent,
+  // lowered twice (the parent's child message, its own marginalisation)
+  // over the same k - 1 separator bits.
+  size_t static_size = 0, gather_size = 0, bit_size = 0;
+  size_t num_vars = 0, num_unfused = 0;
+  for (BagId b = 0; b < num_bags; ++b) {
+    const uint32_t k = static_cast<uint32_t>(td.bag(b).size());
+    const bool is_root = td.parent(b) == kInvalidBag;
+    const size_t edges = td.children(b).size() + (is_root ? 0 : 1);
+    if (static_cast<int>(k) <= g_fuse_max_k) static_size += size_t{1} << k;
+    if (static_cast<int>(k) <= g_gather_max_k) {
+      gather_size += edges << k;
+    }
+    if (!is_root) bit_size += 2 * size_t{k - 1};
+  }
+  for (uint32_t fi = 0; fi < factors.size(); ++fi) {
+    if (factors[fi].table == nullptr) {
+      ++num_vars;
+    } else if (static_cast<int>(td.bag(factor_bag[fi]).size()) >
+               g_fuse_max_k) {
+      ++num_unfused;
+      bit_size += factors[fi].size;
+    }
+  }
+  plan.static_.assign(static_size, 1.0);
+  plan.gather_.resize(gather_size);
+  plan.bit_pool_.reserve(bit_size);
+  plan.var_factors_.reserve(num_vars);
+  plan.var_factor_bag_.reserve(num_vars);
+  plan.static_factors_.reserve(num_unfused);
+  plan.children_.reserve(num_bags - 1);
+
+  // 5. Lower each bag to its flat program: pre-fused static table,
   // variable-factor bit positions, child-message and marginalisation
   // index maps (gather tables plus the raw bit positions as fallback).
-  auto push_bits = [&plan](const std::vector<uint8_t>& bits, uint32_t* begin,
-                           uint32_t* count) {
+  // Every bit list has at most kMaxBagBits entries, so it lives on the
+  // stack.
+  auto push_bits = [&plan](const uint8_t* bits, uint32_t count,
+                           uint32_t* begin, uint32_t* out_count) {
     *begin = static_cast<uint32_t>(plan.bit_pool_.size());
-    *count = static_cast<uint32_t>(bits.size());
-    plan.bit_pool_.insert(plan.bit_pool_.end(), bits.begin(), bits.end());
+    *out_count = count;
+    plan.bit_pool_.insert(plan.bit_pool_.end(), bits, bits + count);
   };
-  auto make_gather = [&plan](const std::vector<uint8_t>& bits, uint32_t k) {
-    const uint32_t off = static_cast<uint32_t>(plan.gather_.size());
-    const size_t size = size_t{1} << k;
-    for (size_t idx = 0; idx < size; ++idx) {
-      uint32_t m = 0;
-      for (size_t i = 0; i < bits.size(); ++i) {
-        m |= static_cast<uint32_t>((idx >> bits[i]) & 1u) << i;
-      }
-      plan.gather_.push_back(m);
-    }
+  size_t static_fill = 0, gather_fill = 0;
+  auto make_gather = [&](const uint8_t* bits, uint32_t count, uint32_t k) {
+    const uint32_t off = static_cast<uint32_t>(gather_fill);
+    FillIndexMap(bits, count, k, plan.gather_.data() + off);
+    gather_fill += size_t{1} << k;
     return off;
   };
+  // A static factor's table index for each entry of the bag being fused.
+  std::vector<uint8_t> factor_index(
+      size_t{1} << std::clamp(td.Width() + 1, 0, std::max(g_fuse_max_k, 0)));
+  // Bit of each vertex in the bag being lowered (valid for its members).
+  std::vector<uint8_t> bit_in_bag(n);
 
   plan.bags_.assign(num_bags, Bag{});
   for (BagId b = 0; b < num_bags; ++b) {
@@ -375,69 +442,71 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     bag.k = static_cast<uint8_t>(members.size());
     bag.is_root = td.parent(b) == kInvalidBag;
     plan.max_k_ = std::max<uint32_t>(plan.max_k_, bag.k);
+    for (size_t i = 0; i < members.size(); ++i) {
+      bit_in_bag[members[i]] = static_cast<uint8_t>(i);
+    }
+    auto bit_of = [&](VertexId v) {
+      const uint8_t bit = bit_in_bag[v];
+      TUD_CHECK(bit < members.size() && members[bit] == v);
+      return bit;
+    };
 
-    // Variable factors and static factors of this bag.
+    // Variable factors and static factors of this bag. The constant
+    // gate factors are pre-fused into one static table so Execute only
+    // multiplies variable factors and messages in.
+    const bool fuse = bag.k <= g_fuse_max_k;
+    const size_t size = size_t{1} << bag.k;
+    double* st = nullptr;
+    if (fuse) {
+      bag.static_off = static_cast<uint32_t>(static_fill);
+      st = plan.static_.data() + static_fill;
+      static_fill += size;
+    } else {
+      bag.sfac_begin = static_cast<uint32_t>(plan.static_factors_.size());
+    }
     bag.var_begin = static_cast<uint32_t>(plan.var_factors_.size());
-    std::vector<std::pair<const double*, std::vector<uint8_t>>> statics;
-    for (uint32_t fi : bag_factors[b]) {
-      const TmpFactor& f = factors[fi];
+    for (uint32_t i = factors_begin[b]; i != factors_begin[b + 1]; ++i) {
+      const TmpFactor& f = factors[bag_factors[i]];
       if (f.table == nullptr) {
-        plan.var_factors_.push_back(VarFactor{
-            f.event, static_cast<uint32_t>(BitOf(members, f.scope[0]))});
+        plan.var_factors_.push_back(VarFactor{f.event, bit_of(f.scope[0])});
         plan.var_factor_bag_.push_back(b);
         plan.num_events_ =
             std::max<size_t>(plan.num_events_, size_t{f.event} + 1);
         continue;
       }
-      std::vector<uint8_t> bits;
-      bits.reserve(f.scope.size());
-      for (VertexId v : f.scope) {
-        bits.push_back(static_cast<uint8_t>(BitOf(members, v)));
-      }
-      statics.emplace_back(f.table, std::move(bits));
-    }
-    bag.var_end = static_cast<uint32_t>(plan.var_factors_.size());
-
-    // Pre-fuse the constant gate factors into one static table so
-    // Execute only multiplies variable factors and messages in.
-    if (bag.k <= g_fuse_max_k) {
-      bag.static_off = static_cast<uint32_t>(plan.static_.size());
-      const size_t size = size_t{1} << bag.k;
-      plan.static_.resize(plan.static_.size() + size, 1.0);
-      double* st = plan.static_.data() + bag.static_off;
-      for (const auto& [table, bits] : statics) {
+      uint8_t bits[3];
+      for (uint32_t j = 0; j < f.size; ++j) bits[j] = bit_of(f.scope[j]);
+      if (fuse) {
+        FillIndexMap(bits, f.size, bag.k, factor_index.data());
         for (size_t idx = 0; idx < size; ++idx) {
-          size_t fidx = 0;
-          for (size_t i = 0; i < bits.size(); ++i) {
-            fidx |= ((idx >> bits[i]) & 1) << i;
-          }
-          st[idx] *= table[fidx];
+          st[idx] *= f.table[factor_index[idx]];
         }
-      }
-    } else {
-      bag.sfac_begin = static_cast<uint32_t>(plan.static_factors_.size());
-      for (const auto& [table, bits] : statics) {
-        StaticFactor sf{table, 0, 0};
-        push_bits(bits, &sf.bits_begin, &sf.bits_count);
+      } else {
+        StaticFactor sf{f.table, 0, 0};
+        push_bits(bits, f.size, &sf.bits_begin, &sf.bits_count);
         plan.static_factors_.push_back(sf);
       }
+    }
+    bag.var_end = static_cast<uint32_t>(plan.var_factors_.size());
+    if (!fuse) {
       bag.sfac_end = static_cast<uint32_t>(plan.static_factors_.size());
     }
 
     // Child messages: each message is over the child's separator, whose
     // members all live in this bag.
+    uint8_t bits[kMaxBagBits];
     bag.child_begin = static_cast<uint32_t>(plan.children_.size());
     for (BagId c : td.children(b)) {
       ChildEdge edge{c, kNone, kNone, 0, 0};
       const VertexId child_vertex = vertex_of_bag[c];
-      std::vector<uint8_t> bits;
+      uint32_t count = 0;
       for (VertexId v : td.bag(c)) {
-        if (v != child_vertex) {
-          bits.push_back(static_cast<uint8_t>(BitOf(members, v)));
-        }
+        if (v != child_vertex) bits[count++] = bit_of(v);
       }
-      push_bits(bits, &edge.bits_begin, &edge.bits_count);
-      if (bag.k <= g_gather_max_k) edge.gather = make_gather(bits, bag.k);
+      push_bits(bits, count, &edge.bits_begin, &edge.bits_count);
+      if (bag.k <= g_gather_max_k) {
+        edge.gather = make_gather(bits, count, bag.k);
+      }
       plan.children_.push_back(edge);
     }
     bag.child_end = static_cast<uint32_t>(plan.children_.size());
@@ -446,14 +515,14 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     // vertex.
     if (!bag.is_root) {
       const VertexId own_vertex = vertex_of_bag[b];
-      std::vector<uint8_t> bits;
+      uint32_t count = 0;
       for (size_t i = 0; i < members.size(); ++i) {
-        if (members[i] != own_vertex) {
-          bits.push_back(static_cast<uint8_t>(i));
-        }
+        if (members[i] != own_vertex) bits[count++] = static_cast<uint8_t>(i);
       }
-      push_bits(bits, &bag.out_bits_begin, &bag.out_count);
-      if (bag.k <= g_gather_max_k) bag.out_gather = make_gather(bits, bag.k);
+      push_bits(bits, count, &bag.out_bits_begin, &bag.out_count);
+      if (bag.k <= g_gather_max_k) {
+        bag.out_gather = make_gather(bits, count, bag.k);
+      }
     }
 
     bag.opcode = bag.k <= 3 && bag.static_off != kNone &&
@@ -461,6 +530,9 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
                      ? bag.k
                      : kOpGeneric;
   }
+  TUD_CHECK_EQ(static_fill, plan.static_.size());
+  TUD_CHECK_EQ(gather_fill, plan.gather_.size());
+  TUD_CHECK_EQ(plan.bit_pool_.size(), bit_size);
 
   // The rootward path index ExecuteDelta walks: bag -> parent bag id.
   plan.parent_of_.assign(num_bags, kNone);
@@ -470,7 +542,7 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     }
   }
 
-  // 5. Batch plans: locate each root's query bag and prune the downward
+  // 6. Batch plans: locate each root's query bag and prune the downward
   // pass to the subtrees that contain one.
   std::vector<bool> is_query_bag(num_bags, false);
   if (batch) {
@@ -495,7 +567,7 @@ JunctionTreePlan JunctionTreePlan::BuildImpl(JunctionTreeAnalysis a,
     }
   }
 
-  // 6. Arena layout, sized once per plan: resolved variable-factor
+  // 7. Arena layout, sized once per plan: resolved variable-factor
   // values, every message slot (and, for batch plans, downward messages
   // and kept query-bag tables), then the scratch table region.
   plan.vals_off_ = 0;

@@ -94,19 +94,21 @@ class JunctionTreeAnalysis {
                                            const std::vector<GateId>& roots);
 
   /// Width of the min-degree elimination order of the binarised cone's
-  /// primal graph. Computed on first call and cached; JunctionTreePlan
-  /// reuses the cached order, so probing the width costs nothing extra
-  /// when the plan is subsequently built from this analysis.
+  /// primal graph, as the ordering reports it while it eliminates (one
+  /// sweep; no replay of the order). Computed on first call and cached;
+  /// JunctionTreePlan reuses the cached order, so probing the width
+  /// costs nothing extra when the plan is subsequently built from this
+  /// analysis.
   int MinDegreeWidth();
 
   /// Σ 2^|bag| over the decomposition the min-degree order derives: the
   /// table-entry count of one message pass, the batch planner's cost
-  /// unit (computed alongside MinDegreeWidth, so probing both costs one
-  /// sweep). An estimate: Build may fall back to min-fill (or accept a
-  /// topological seed) when min-degree comes out wide, in which case the
-  /// executed plan's profile differs — the cost model only needs
-  /// relative magnitudes, where the min-degree profile is a faithful
-  /// proxy. 0 for trivial analyses.
+  /// unit. Reported by the ordering alongside MinDegreeWidth, so probing
+  /// both costs the one ordering sweep. An estimate: Build may fall back
+  /// to min-fill (or accept a topological seed) when min-degree comes
+  /// out wide, in which case the executed plan's profile differs — the
+  /// cost model only needs relative magnitudes, where the min-degree
+  /// profile is a faithful proxy. 0 for trivial analyses.
   double TableCost();
 
   /// True if every root folded to a constant (no message passing

@@ -17,7 +17,7 @@ namespace {
 
 template <typename WorkGraph>
 std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
-                                  bool peel) {
+                                  bool peel, EliminationProfile* profile) {
   // Lazy-heap greedy elimination: each heap entry snapshots a vertex's
   // (score, degree, id, version); stale entries (version mismatch) are
   // dropped on pop. Eliminating v only changes the scores of vertices in
@@ -61,6 +61,7 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
         if (!work.alive(v) || work.Degree(v) != 2) continue;
       }
       order.push_back(v);
+      profile->Add(work.Degree(v));
       ring.clear();
       work.ForEachNeighbor(v, [&](VertexId u) { ring.push_back(u); });
       work.Eliminate(v);
@@ -96,6 +97,7 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
     heap.pop();
     if (!work.alive(v) || entry_version != version[v]) continue;
     order.push_back(v);
+    profile->Add(work.Degree(v));
     // Vertices whose score actually changes: v's neighbors (adjacency
     // and degree change), plus — for min-fill — outside vertices with
     // at least TWO neighbors in the ring: elimination only adds edges
@@ -136,36 +138,48 @@ std::vector<VertexId> GreedyOrder(const Graph& graph, bool use_fill,
   return order;
 }
 
-std::vector<VertexId> GreedyOrderDispatch(const Graph& graph,
-                                          bool use_fill, bool peel) {
+std::vector<VertexId> GreedyOrderDispatch(const Graph& graph, bool use_fill,
+                                          bool peel,
+                                          EliminationProfile* profile) {
+  EliminationProfile local;
+  if (profile == nullptr) profile = &local;
+  *profile = EliminationProfile{};
   if (graph.NumVertices() <= kDenseVertexLimit) {
-    return GreedyOrder<DenseEliminationGraph>(graph, use_fill, peel);
+    return GreedyOrder<DenseEliminationGraph>(graph, use_fill, peel, profile);
   }
-  return GreedyOrder<SparseEliminationGraph>(graph, use_fill, peel);
+  return GreedyOrder<SparseEliminationGraph>(graph, use_fill, peel, profile);
 }
 
 }  // namespace
 
-std::vector<VertexId> MinFillOrder(const Graph& graph) {
-  return GreedyOrderDispatch(graph, /*use_fill=*/true, /*peel=*/false);
+std::vector<VertexId> MinFillOrder(const Graph& graph,
+                                   EliminationProfile* profile) {
+  return GreedyOrderDispatch(graph, /*use_fill=*/true, /*peel=*/false,
+                             profile);
 }
 
-std::vector<VertexId> MinDegreeOrder(const Graph& graph) {
-  return GreedyOrderDispatch(graph, /*use_fill=*/false, /*peel=*/false);
+std::vector<VertexId> MinDegreeOrder(const Graph& graph,
+                                     EliminationProfile* profile) {
+  return GreedyOrderDispatch(graph, /*use_fill=*/false, /*peel=*/false,
+                             profile);
 }
 
-std::vector<VertexId> PeeledMinFillOrder(const Graph& graph) {
-  return GreedyOrderDispatch(graph, /*use_fill=*/true, /*peel=*/true);
+std::vector<VertexId> PeeledMinFillOrder(const Graph& graph,
+                                         EliminationProfile* profile) {
+  return GreedyOrderDispatch(graph, /*use_fill=*/true, /*peel=*/true,
+                             profile);
 }
 
-std::vector<VertexId> CircuitMinDegreeOrder(const Graph& graph) {
+std::vector<VertexId> CircuitMinDegreeOrder(const Graph& graph,
+                                            EliminationProfile* profile) {
   // Min-degree with a bucket queue instead of a binary heap: degrees are
   // small integers and only change for the eliminated vertex's ring, so
   // every queue operation is O(1) (stale entries are dropped on pop by
-  // re-checking the live degree). On binarised circuit primal graphs
-  // this produces the same widths as min-fill at a fraction of the cost;
-  // the junction-tree pipeline verifies the width and falls back to
-  // min-fill when the result is wide.
+  // re-checking the live degree). Each vertex is popped at its current
+  // degree, which is what the profile accumulates.
+  EliminationProfile local;
+  if (profile == nullptr) profile = &local;
+  *profile = EliminationProfile{};
   const uint32_t n = graph.NumVertices();
   std::vector<VertexId> order;
   order.reserve(n);
@@ -185,6 +199,7 @@ std::vector<VertexId> CircuitMinDegreeOrder(const Graph& graph) {
       buckets[d].pop_back();
       if (!work.alive(v) || work.Degree(v) != d) continue;  // Stale entry.
       order.push_back(v);
+      profile->Add(d);
       ring.clear();
       work.ForEachNeighbor(v, [&](VertexId u) { ring.push_back(u); });
       work.Eliminate(v);
@@ -213,18 +228,13 @@ uint32_t EliminationWidthAndCost(const Graph& graph,
                                  double* table_cost) {
   TUD_CHECK_EQ(order.size(), graph.NumVertices());
   SparseEliminationGraph work(graph);
-  uint32_t width = 0;
-  double cost = 0;
+  EliminationProfile profile;
   for (VertexId v : order) {
-    const uint32_t degree = work.Degree(v);
-    width = std::max(width, degree);
-    // The bag of v is v plus its current (filled) neighborhood.
-    const uint32_t bits = std::min(degree + 1, kEliminationCostCapBits);
-    cost += static_cast<double>(uint64_t{1} << bits);
+    profile.Add(work.Degree(v));
     work.Eliminate(v);
   }
-  if (table_cost != nullptr) *table_cost = cost;
-  return width;
+  if (table_cost != nullptr) *table_cost = profile.table_cost;
+  return profile.width;
 }
 
 namespace {

@@ -9,7 +9,11 @@
 #include "inference/hybrid.h"
 #include "inference/junction_tree.h"
 #include "inference/sampling.h"
+#include "queries/query_session.h"
+#include "uncertain/c_instance.h"
+#include "uncertain/tid_instance.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace tud {
 namespace {
@@ -73,6 +77,62 @@ TEST(JunctionTreeTest, ConstantAndSingleVar) {
   EXPECT_NEAR(JunctionTreeProbability(c, c.AddVar(0), registry), 0.3, 1e-12);
   EXPECT_NEAR(JunctionTreeProbability(c, c.AddNot(c.AddVar(0)), registry),
               0.7, 1e-12);
+}
+
+// Plans pinned bit for bit: width, bag count, table cells and the root
+// marginal with and without one evidence pin, recorded as exact
+// constants. A change to ordering, decomposition or lowering that moves
+// any of them (even in the last bit of a probability) fails here.
+struct PlanPin {
+  int width;
+  size_t num_bags;
+  double total_cells;
+  double p;
+  double p_pinned;  ///< With event 0 pinned true.
+};
+
+void ExpectPinned(const BoolCircuit& circuit, GateId root,
+                  const EventRegistry& registry, const PlanPin& pin) {
+  JunctionTreePlan plan = JunctionTreePlan::Build(circuit, root);
+  EXPECT_EQ(plan.width(), pin.width);
+  EXPECT_EQ(plan.num_bags(), pin.num_bags);
+  EXPECT_EQ(plan.total_cells(), pin.total_cells);
+  EXPECT_EQ(plan.Execute(registry), pin.p);
+  EXPECT_EQ(plan.Execute(registry, {{0, true}}), pin.p_pinned);
+}
+
+void ExpectReachabilityPinned(const char* spec_name, const PlanPin& pin) {
+  const workloads::InstanceSpec spec =
+      *workloads::ParseInstanceSpec(spec_name);
+  TidInstance tid = workloads::MakeInstance(spec);
+  const auto [source, target] = workloads::CanonicalEndpoints(spec);
+  QuerySession session = QuerySession::FromCInstance(tid.ToPcInstance());
+  const GateId lineage = session.ReachabilityLineage(0, source, target);
+  ExpectPinned(session.pcc().circuit(), lineage, session.pcc().events(), pin);
+}
+
+TEST(JunctionTreePinTest, LadderReachabilityPlan) {
+  ExpectReachabilityPinned(
+      "ladder:48",
+      {6, 965, 51623, 0.00062927295731333944, 0.00071027875165202714});
+}
+
+TEST(JunctionTreePinTest, KTreeReachabilityPlan) {
+  ExpectReachabilityPinned(
+      "ktree:64x2",
+      {9, 180, 10979, 0.81587138731461861, 0.90342256293249867});
+}
+
+TEST(JunctionTreePinTest, CoreTentaclePlan) {
+  // Width 12: past Build's acceptance width, so Build also runs the
+  // min-fill retry.
+  EventRegistry registry;
+  GateId root;
+  Rng rng(11);
+  BoolCircuit circuit =
+      workloads::MakeCoreTentacleCircuit(rng, 8, 30, registry, &root);
+  ExpectPinned(circuit, root, registry,
+               {12, 180, 35927, 0.86232176898804247, 0.85446568620469698});
 }
 
 // The core cross-validation invariant: the three exact engines agree.

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "uncertain/c_instance.h"
 #include "uncertain/tid_instance.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace tud {
 namespace {
@@ -109,14 +111,18 @@ TEST_P(JunctionBatchTest, ExecuteBatchMatchesSequentialWithEvidence) {
   }
 }
 
-TEST_P(JunctionBatchTest, SmallBagKernelsMatchGenericAndBitLoops) {
-  Rng rng(GetParam() + 1000);
-  std::vector<GateId> pool;
-  BoolCircuit c = RandomCircuit(rng, 8, 35, &pool);
-  EventRegistry registry = RandomRegistry(rng, 8);
-  const GateId root = pool.back();
-  const Evidence evidence = {{1, false}};
+// A core-tentacle circuit whose 9-event 3-CNF core drives the widest
+// bags to k = 13-16 (width 12-15 over these seeds): wide enough that
+// the gather and fused static tables are large, still within the
+// default fusion and gather caps (16).
+BoolCircuit WideCircuit(int seed, EventRegistry* registry, GateId* root) {
+  Rng rng(seed);
+  return workloads::MakeCoreTentacleCircuit(rng, 9, 6, *registry, root);
+}
 
+void ExpectKernelsAgree(const BoolCircuit& c, GateId root,
+                        const EventRegistry& registry,
+                        const Evidence& evidence) {
   JunctionTreePlan fast = JunctionTreePlan::Build(c, root);
   JunctionTreePlan generic = JunctionTreePlan::Build(c, root);
   generic.ForceGenericKernelsForTest();
@@ -131,17 +137,27 @@ TEST_P(JunctionBatchTest, SmallBagKernelsMatchGenericAndBitLoops) {
   EXPECT_DOUBLE_EQ(bitloops.Execute(registry, evidence), pinned);
 }
 
-TEST_P(JunctionBatchTest, UnfusedStaticsMatchFusedTables) {
-  // Thresholds at zero disable static-table fusion and gather
-  // precomputation entirely, driving every bag down the unfused /
-  // bit-recombination path the widest bags use.
-  Rng rng(GetParam() + 1500);
+TEST_P(JunctionBatchTest, SmallBagKernelsMatchGenericAndBitLoops) {
+  Rng rng(GetParam() + 1000);
   std::vector<GateId> pool;
   BoolCircuit c = RandomCircuit(rng, 8, 35, &pool);
   EventRegistry registry = RandomRegistry(rng, 8);
-  const GateId root = pool.back();
-  std::vector<GateId> roots = RandomRoots(rng, pool, 5);
+  ExpectKernelsAgree(c, pool.back(), registry, {{1, false}});
 
+  EventRegistry wide_registry;
+  GateId wide_root;
+  BoolCircuit wide = WideCircuit(GetParam() + 1000, &wide_registry,
+                                 &wide_root);
+  ASSERT_GE(JunctionTreePlan::Build(wide, wide_root).width(), 11);
+  ExpectKernelsAgree(wide, wide_root, wide_registry, {{1, false}});
+}
+
+// Fused against unfused tables: thresholds at zero disable static-table
+// fusion and gather precomputation entirely, driving every bag down the
+// unfused / bit-recombination path the widest bags use.
+void ExpectFusionAgrees(const BoolCircuit& c, GateId root,
+                        const std::vector<GateId>& roots,
+                        const EventRegistry& registry) {
   JunctionTreePlan fused = JunctionTreePlan::Build(c, root);
   JunctionTreePlan fused_batch = JunctionTreePlan::BuildBatch(c, roots);
   JunctionTreePlan::SetKernelThresholdsForTest(0, 0);
@@ -154,6 +170,26 @@ TEST_P(JunctionBatchTest, UnfusedStaticsMatchFusedTables) {
   std::vector<double> b = unfused_batch.ExecuteBatch(registry);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-12);
+}
+
+TEST_P(JunctionBatchTest, UnfusedStaticsMatchFusedTables) {
+  Rng rng(GetParam() + 1500);
+  std::vector<GateId> pool;
+  BoolCircuit c = RandomCircuit(rng, 8, 35, &pool);
+  EventRegistry registry = RandomRegistry(rng, 8);
+  const GateId root = pool.back();
+  ExpectFusionAgrees(c, root, RandomRoots(rng, pool, 5), registry);
+
+  EventRegistry wide_registry;
+  GateId wide_root;
+  BoolCircuit wide = WideCircuit(GetParam() + 1500, &wide_registry,
+                                 &wide_root);
+  ASSERT_GE(JunctionTreePlan::Build(wide, wide_root).width(), 11);
+  std::vector<GateId> wide_pool(wide.NumGates());
+  std::iota(wide_pool.begin(), wide_pool.end(), GateId{0});
+  std::vector<GateId> wide_roots = RandomRoots(rng, wide_pool, 4);
+  wide_roots.push_back(wide_root);
+  ExpectFusionAgrees(wide, wide_root, wide_roots, wide_registry);
 }
 
 TEST_P(JunctionBatchTest, EngineBatchModesAgreeWithExhaustive) {

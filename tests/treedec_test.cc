@@ -1,7 +1,9 @@
 #include <algorithm>
 
+#include "circuits/bool_circuit.h"
 #include "gtest/gtest.h"
 #include "treedec/elimination.h"
+#include "treedec/elimination_graph.h"
 #include "treedec/graph.h"
 #include "treedec/nice_decomposition.h"
 #include "treedec/tree_decomposition.h"
@@ -89,6 +91,118 @@ TEST(EliminationTest, CycleHasWidthTwo) {
 TEST(EliminationTest, CliqueHasWidthNMinusOne) {
   Graph g = CompleteGraph(6);
   EXPECT_EQ(EliminationWidth(g, MinFillOrder(g)), 5u);
+}
+
+// A random partial k-tree: a (k+1)-clique grown by vertices that each
+// join a random k-clique of the graph so far, then with every edge
+// kept with probability `keep`.
+Graph RandomPartialKTree(uint32_t n, uint32_t k, double keep, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::vector<std::vector<VertexId>> cliques;  // k-cliques so far.
+  for (VertexId v = 0; v <= k; ++v) {
+    for (VertexId u = 0; u < v; ++u) edges.emplace_back(u, v);
+    std::vector<VertexId> clique;
+    for (VertexId u = 0; u <= k; ++u) {
+      if (u != v) clique.push_back(u);
+    }
+    cliques.push_back(std::move(clique));
+  }
+  for (VertexId v = k + 1; v < n; ++v) {
+    const std::vector<VertexId> base = cliques[rng.UniformInt(cliques.size())];
+    for (VertexId u : base) edges.emplace_back(u, v);
+    for (size_t drop = 0; drop < base.size(); ++drop) {
+      std::vector<VertexId> clique = base;
+      clique[drop] = v;
+      cliques.push_back(std::move(clique));
+    }
+  }
+  Graph g(n);
+  for (const auto& [u, v] : edges) {
+    if (rng.Bernoulli(keep)) g.AddEdge(u, v);
+  }
+  return g;
+}
+
+// The primal graph of a random circuit with fan-in up to 4, binarised.
+Graph RandomCircuitPrimalGraph(uint32_t num_events, uint32_t num_gates,
+                               uint64_t seed) {
+  Rng rng(seed);
+  BoolCircuit c;
+  std::vector<GateId> pool;
+  for (EventId e = 0; e < num_events; ++e) pool.push_back(c.AddVar(e));
+  for (uint32_t i = 0; i < num_gates; ++i) {
+    std::vector<GateId> inputs(2 + rng.UniformInt(3));
+    for (GateId& in : inputs) in = pool[rng.UniformInt(pool.size())];
+    switch (rng.UniformInt(3)) {
+      case 0:
+        pool.push_back(c.AddNot(inputs[0]));
+        break;
+      case 1:
+        pool.push_back(c.AddAnd(std::move(inputs)));
+        break;
+      default:
+        pool.push_back(c.AddOr(std::move(inputs)));
+        break;
+    }
+  }
+  const BoolCircuit bin = c.Binarize().first;
+  Graph g(static_cast<uint32_t>(bin.NumGates()));
+  for (const auto& [a, b] : bin.PrimalEdges()) g.AddEdge(a, b);
+  return g;
+}
+
+// Every ordering reports the width and table cost of the order it
+// returns exactly as a replay of that order measures them (the cost
+// bit for bit: EXPECT_EQ on the double).
+void ExpectOrderingsReportTheirReplay(const Graph& g) {
+  using Ordering = std::vector<VertexId> (*)(const Graph&,
+                                             EliminationProfile*);
+  for (Ordering ordering : {&MinFillOrder, &MinDegreeOrder,
+                            &PeeledMinFillOrder, &CircuitMinDegreeOrder}) {
+    EliminationProfile reported;
+    reported.width = 12345;  // Overwritten, not accumulated into.
+    const std::vector<VertexId> order = ordering(g, &reported);
+    double cost = -1;
+    EXPECT_EQ(reported.width, EliminationWidthAndCost(g, order, &cost));
+    EXPECT_EQ(reported.table_cost, cost);
+    // Reporting does not change the order.
+    EXPECT_EQ(ordering(g, nullptr), order);
+  }
+}
+
+class OrderingProfileTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(OrderingProfileTest, PartialKTreesReportTheirReplay) {
+  Rng rng(GetParam() + 300);
+  const uint32_t k = 1 + static_cast<uint32_t>(rng.UniformInt(5));
+  const uint32_t n = k + 2 + static_cast<uint32_t>(rng.UniformInt(150));
+  ExpectOrderingsReportTheirReplay(
+      RandomPartialKTree(n, k, 0.6 + 0.4 * rng.UniformDouble(),
+                         GetParam() * 7919 + 3));
+}
+
+TEST_P(OrderingProfileTest, CircuitPrimalGraphsReportTheirReplay) {
+  ExpectOrderingsReportTheirReplay(
+      RandomCircuitPrimalGraph(6 + GetParam() % 5, 30 + 10 * GetParam(),
+                               GetParam() * 104729 + 11));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OrderingProfileTest, ::testing::Range(0, 12));
+
+TEST(OrderingProfileTest, SparseGraphAboveDenseLimitReportsItsReplay) {
+  // Above kDenseVertexLimit the orderings eliminate on the hash-set
+  // SparseEliminationGraph instead of the dense bitset rows.
+  Graph g = RandomPartialKTree(kDenseVertexLimit + 500, 2, 0.8, 77);
+  ASSERT_GT(g.NumVertices(), kDenseVertexLimit);
+  ExpectOrderingsReportTheirReplay(g);
+}
+
+TEST(OrderingProfileTest, EmptyGraphReportsZero) {
+  EliminationProfile reported{7, 7.0};
+  EXPECT_TRUE(MinFillOrder(Graph(0), &reported).empty());
+  EXPECT_EQ(reported.width, 0u);
+  EXPECT_EQ(reported.table_cost, 0.0);
 }
 
 TEST(ExactTreewidthTest, KnownValues) {
