@@ -1,10 +1,16 @@
 #include "circuits/bool_circuit.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/check.h"
 
 namespace tud {
+
+uint64_t BoolCircuit::Identity::Next() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 namespace {
 

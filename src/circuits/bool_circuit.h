@@ -82,6 +82,15 @@ class BoolCircuit {
                      std::vector<GateId> inputs);
 
   size_t NumGates() const { return kinds_.size(); }
+
+  /// Process-unique identity of this circuit object. Every construction,
+  /// copy, move and assignment draws a fresh value (a move refreshes the
+  /// moved-from object too), so two objects never share one while their
+  /// gates may differ. Memos keyed by gate id (AutoEngine's plan memo)
+  /// bind to it: a different circuit is recognised even when it lives
+  /// at a recycled address.
+  uint64_t id() const { return id_.value; }
+
   GateKind kind(GateId g) const { return kinds_[g]; }
   bool const_value(GateId g) const;
   EventId var(GateId g) const;
@@ -170,6 +179,27 @@ class BoolCircuit {
     bool operator()(const HashKey& a, const HashKeyView& b) const;
   };
 
+  /// A serial that is never copied: see id().
+  struct Identity {
+    static uint64_t Next();
+    Identity() : value(Next()) {}
+    Identity(const Identity&) : value(Next()) {}
+    Identity(Identity&& other) noexcept : value(Next()) {
+      other.value = Next();
+    }
+    Identity& operator=(const Identity&) {
+      value = Next();
+      return *this;
+    }
+    Identity& operator=(Identity&& other) noexcept {
+      value = Next();
+      other.value = Next();
+      return *this;
+    }
+    uint64_t value;
+  };
+
+  Identity id_;
   std::vector<GateKind> kinds_;
   std::vector<bool> const_values_;
   std::vector<EventId> vars_;

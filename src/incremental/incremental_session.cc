@@ -33,7 +33,7 @@ QueryId IncrementalSession::RegisterReachability(RelationId edge_relation,
   q.relation = edge_relation;
   q.source = source;
   q.target = target;
-  q.root = session_.ReachabilityLineage(edge_relation, source, target);
+  q.root = ComputeRoot(q);
   q.cursor = session_.dirty_log().generation();
   queries_.push_back(std::move(q));
   return queries_.size() - 1;
@@ -43,8 +43,13 @@ GateId IncrementalSession::ComputeRoot(const RegisteredQuery& q) {
   switch (q.kind) {
     case RegisteredQuery::Kind::kCq:
       return session_.CqLineage(q.cq);
-    case RegisteredQuery::Kind::kReachability:
-      return session_.ReachabilityLineage(q.relation, q.source, q.target);
+    case RegisteredQuery::Kind::kReachability: {
+      const GateId root =
+          session_.ReachabilityLineage(q.relation, q.source, q.target);
+      TUD_CHECK(root != kInvalidGate)
+          << "decomposition too wide for reachability lineage";
+      return root;
+    }
   }
   TUD_CHECK(false) << "unreachable query kind";
   return kInvalidGate;

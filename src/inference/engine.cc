@@ -960,32 +960,83 @@ AutoEngine::AutoEngine(const Limits& limits)
               limits.hybrid_num_samples, limits.seed),
       sampling_(limits.sampling_num_samples, limits.seed) {}
 
+AutoEngine::~AutoEngine() = default;
+
 EngineResult AutoEngine::EstimateImpl(const BoolCircuit& circuit, GateId root,
                                       const EventRegistry& registry,
                                       const Evidence& evidence,
                                       const QueryBudget& budget) {
-  if (!evidence.empty()) {
-    // Pin once, then plan on the restricted circuit: pinning both
-    // shrinks the cone and is how every delegate would condition anyway.
+  if (circuit.id() != circuit_id_) {
+    // Gate ids mean something else in another circuit.
+    memo_.clear();
+    lru_.clear();
+    kept_cells_ = 0;
+    circuit_id_ = circuit.id();
+  }
+  auto [it, fresh] = memo_.try_emplace(root);
+  RootPlan& entry = it->second;
+  if (fresh) entry.cone_events = CountConeEvents(circuit, root);
+  std::optional<JunctionTreeAnalysis> analysis;
+  if (!evidence.empty() && entry.cone_events > limits_.bdd_max_events &&
+      MeasureWidth(circuit, root, entry, analysis) > limits_.jt_max_width) {
+    // Hybrid or sampling: pin once, then plan the restricted circuit
+    // afresh — pinning both shrinks the cone and may bring it back to an
+    // exact rung.
     auto [restricted, restricted_root] =
         PinEvidence(circuit, root, registry, evidence);
-    return Plan(restricted, restricted_root, registry, budget);
+    RootPlan pinned;
+    pinned.cone_events = CountConeEvents(restricted, restricted_root);
+    std::optional<JunctionTreeAnalysis> pinned_analysis;
+    return Ladder(restricted, restricted_root, registry, {}, budget, pinned,
+                  pinned_analysis, /*keep=*/false);
   }
-  return Plan(circuit, root, registry, budget);
+  return Ladder(circuit, root, registry, evidence, budget, entry, analysis,
+                /*keep=*/true);
 }
 
-EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
-                              const EventRegistry& registry,
-                              const QueryBudget& budget) {
-  const size_t cone_events = CountConeEvents(circuit, root);
-  const Evidence none;
+int AutoEngine::MeasureWidth(const BoolCircuit& circuit, GateId root,
+                             RootPlan& entry,
+                             std::optional<JunctionTreeAnalysis>& analysis) {
+  if (entry.width < 0) {
+    // Cheap width estimate of the binarised cone's primal graph — the
+    // analysis *is* the first half of a junction-tree Build, so when
+    // message passing is chosen the decomposition work is handed to the
+    // plan instead of being recomputed.
+    analysis.emplace(JunctionTreeAnalysis::Analyze(circuit, root));
+    entry.width = analysis->trivial() ? 0 : analysis->MinDegreeWidth();
+  }
+  return entry.width;
+}
+
+bool AutoEngine::Keep(GateId root, RootPlan& entry, JunctionTreePlan& plan) {
+  const double cells = plan.total_cells();
+  if (cells > kMaxPlanCells) return false;
+  while (kept_cells_ + cells > kMaxPlanCells) {
+    RootPlan& victim = memo_.find(lru_.back())->second;
+    kept_cells_ -= victim.plan->total_cells();
+    victim.plan.reset();
+    lru_.pop_back();
+  }
+  entry.plan = std::make_unique<const JunctionTreePlan>(std::move(plan));
+  lru_.push_front(root);
+  entry.lru = lru_.begin();
+  kept_cells_ += cells;
+  return true;
+}
+
+EngineResult AutoEngine::Ladder(const BoolCircuit& circuit, GateId root,
+                                const EventRegistry& registry,
+                                const Evidence& evidence,
+                                const QueryBudget& budget, RootPlan& entry,
+                                std::optional<JunctionTreeAnalysis>& analysis,
+                                bool keep) {
   // Under a budget a rung that trips kResourceExhausted falls through to
   // the next cheaper rung (counted in stats.degradations); a deadline or
   // cancellation surfaces directly — no cheaper rung can beat a clock
   // that has already run out.
   uint32_t degradations = 0;
   auto finish = [&](EngineResult result) {
-    result.stats.cone_events = cone_events;
+    result.stats.cone_events = entry.cone_events;
     result.stats.degradations = degradations;
     return result;
   };
@@ -995,48 +1046,58 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
            st == EngineStatus::kInvalidArgument;
   };
 
-  if (cone_events <= limits_.exhaustive_max_events) {
+  if (entry.cone_events <= limits_.exhaustive_max_events) {
     EngineResult result =
-        exhaustive_.Estimate(circuit, root, registry, none, budget);
+        exhaustive_.Estimate(circuit, root, registry, evidence, budget);
     if (result.status != EngineStatus::kResourceExhausted) {
       return finish(std::move(result));
     }
     ++degradations;
   }
-  if (cone_events <= limits_.bdd_max_events) {
-    EngineResult result = bdd_.Estimate(circuit, root, registry, none, budget);
+  if (entry.cone_events <= limits_.bdd_max_events) {
+    EngineResult result =
+        bdd_.Estimate(circuit, root, registry, evidence, budget);
     if (result.status != EngineStatus::kResourceExhausted) {
       return finish(std::move(result));
     }
     ++degradations;
   }
 
-  // Cheap width estimate of the binarised cone's primal graph — the
-  // analysis *is* the first half of a junction-tree Build, so when
-  // message passing is chosen the decomposition work is handed to the
-  // plan instead of being recomputed.
-  JunctionTreeAnalysis analysis = JunctionTreeAnalysis::Analyze(circuit, root);
-  const int width = analysis.trivial() ? 0 : analysis.MinDegreeWidth();
-  if (width <= limits_.jt_max_width) {
-    if (budget.unlimited()) {
-      JunctionTreePlan plan = JunctionTreePlan::Build(
-          std::move(analysis), limits_.seed_topological);
-      EngineResult result;
-      result.engine = "junction_tree";
-      plan.FillStats(&result.stats);
-      result.value = plan.Execute(registry);
-      return finish(std::move(result));
+  if (MeasureWidth(circuit, root, entry, analysis) <= limits_.jt_max_width) {
+    const JunctionTreePlan* plan = entry.plan.get();
+    std::optional<JunctionTreePlan> built;
+    if (plan != nullptr) {
+      lru_.splice(lru_.begin(), lru_, entry.lru);
+    } else {
+      if (!analysis.has_value()) {
+        analysis.emplace(JunctionTreeAnalysis::Analyze(circuit, root));
+      }
+      built.emplace(budget.unlimited()
+                        ? JunctionTreePlan::Build(std::move(*analysis),
+                                                  limits_.seed_topological)
+                        : JunctionTreePlan::Build(std::move(*analysis),
+                                                  limits_.seed_topological,
+                                                  budget));
+      ++plans_built_;
+      // A plan refused by this caller's budget is not kept: another
+      // budget may admit the root.
+      plan = keep && built->build_status() == EngineStatus::kOk &&
+                     Keep(root, entry, *built)
+                 ? entry.plan.get()
+                 : &*built;
     }
-    JunctionTreePlan plan = JunctionTreePlan::Build(
-        std::move(analysis), limits_.seed_topological, budget);
     EngineResult result;
     result.engine = "junction_tree";
-    plan.FillStats(&result.stats);
-    EngineStatus st = plan.build_status();
+    plan->FillStats(&result.stats);
+    if (budget.unlimited()) {
+      result.value = plan->Execute(registry, evidence, ThreadScratch());
+      return finish(std::move(result));
+    }
+    EngineStatus st = plan->build_status();
     if (st == EngineStatus::kOk) {
       double value = 0.0;
-      st = plan.ExecuteGoverned(registry, {}, ThreadScratch(), budget,
-                                &value);
+      st = plan->ExecuteGoverned(registry, evidence, ThreadScratch(), budget,
+                                 &value);
       if (st == EngineStatus::kOk) {
         result.value = value;
         return finish(std::move(result));
@@ -1051,15 +1112,25 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
     // core/tentacle estimator, then to bounded sampling.
     ++degradations;
   }
+
+  // The estimators condition by pinning. Evidence reaches them here
+  // only when a budget degraded an exact rung.
+  std::optional<std::pair<BoolCircuit, GateId>> pinned;
+  if (!evidence.empty()) {
+    pinned.emplace(PinEvidence(circuit, root, registry, evidence));
+  }
+  const BoolCircuit& cone = pinned ? pinned->first : circuit;
+  const GateId cone_root = pinned ? pinned->second : root;
+  const Evidence none;
   std::vector<EventId> core = SelectCoreEvents(
-      circuit, root, limits_.hybrid_target_width, limits_.hybrid_max_core);
+      cone, cone_root, limits_.hybrid_target_width, limits_.hybrid_max_core);
   if (!core.empty()) {
     // Only worth the per-sample exact runs if the core actually tames
     // the width; SelectCoreEvents stops early when it cannot.
     std::vector<std::optional<bool>> fixed(registry.size());
     for (EventId e : core) fixed[e] = true;
     auto [restricted, restricted_root] =
-        RestrictCircuit(circuit, root, fixed);
+        RestrictCircuit(cone, cone_root, fixed);
     auto [rbin, rremap] = restricted.Binarize();
     GateId rroot = rremap[restricted_root];
     int rwidth = 0;
@@ -1075,8 +1146,8 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
       // repeat the whole SelectCoreEvents restrict/min-fill loop.
       EngineResult result =
           budget.unlimited()
-              ? hybrid_.EstimateWithCore(circuit, root, registry, core)
-              : hybrid_.EstimateWithCore(circuit, root, registry, core,
+              ? hybrid_.EstimateWithCore(cone, cone_root, registry, core)
+              : hybrid_.EstimateWithCore(cone, cone_root, registry, core,
                                          budget);
       if (result.status != EngineStatus::kResourceExhausted) {
         return finish(std::move(result));
@@ -1085,7 +1156,7 @@ EngineResult AutoEngine::Plan(const BoolCircuit& circuit, GateId root,
     }
   }
   EngineResult result =
-      sampling_.Estimate(circuit, root, registry, none, budget);
+      sampling_.Estimate(cone, cone_root, registry, none, budget);
   return finish(std::move(result));
 }
 

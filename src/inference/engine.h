@@ -4,9 +4,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 
 namespace tud {
 
+class JunctionTreeAnalysis;
 class JunctionTreePlan;
 class ConcurrentPlanCache;
 
@@ -432,6 +436,30 @@ class ConditioningEngine : public ProbabilityEngine {
 /// the handed-off decomposition is bit-identical to the one
 /// JunctionTreeEngine would derive itself (same code path). The hybrid
 /// escalation likewise hands its selected core event set over.
+///
+/// The decision is memoised per root, so a repeated question costs one
+/// Execute:
+/// - The rung is decided once per root, on the *unpinned* cone, and the
+///   junction-tree rung keeps its plan. Evidence never forces a
+///   re-plan: a kept plan executes under the evidence, exhaustive and
+///   BDD restrict by it. Only a root whose rung is hybrid or sampling
+///   pins the evidence first and plans the restricted circuit afresh,
+///   so no answer that is exact without the memo becomes inexact.
+/// - The governed path shares the memo: a kept plan runs through
+///   ExecuteGoverned; a plan refused by the caller's budget is not kept
+///   (another budget may admit it). Degradation order and statuses are
+///   those of the ladder below.
+/// - The memo is bound to one circuit identity (BoolCircuit::id()); a
+///   different circuit drops it, also at a recycled address.
+/// - Kept plans are bounded by kMaxPlanCells table cells in total, and
+///   the least recently used plan is evicted (and freed) first. A plan
+///   larger than the bound is executed and not kept. A decision without
+///   a plan is two numbers; it stays until the circuit changes.
+///
+/// Not thread-safe: one caller at a time (the hybrid and sampling rungs
+/// already advance member Rngs). ConcurrentPlanCache is not used here
+/// because it retires superseded snapshots instead of freeing them, so
+/// it cannot bound memory; concurrent callers use JunctionTreeEngine.
 class AutoEngine : public ProbabilityEngine {
  public:
   struct Limits {
@@ -450,9 +478,20 @@ class AutoEngine : public ProbabilityEngine {
     bool seed_topological = false;
   };
 
+  /// Bound on the table cells (Σ total_cells()) of the plans the memo
+  /// keeps: about four ladder:48 reachability plans (≈56k cells,
+  /// ≈0.95 MB each).
+  static constexpr double kMaxPlanCells = 1 << 18;
+
   AutoEngine() : AutoEngine(Limits{}) {}
   explicit AutoEngine(const Limits& limits);
+  ~AutoEngine() override;
   const char* name() const override { return "auto"; }
+
+  /// Junction-tree plans built so far (kept or not).
+  uint64_t plans_built() const { return plans_built_; }
+  /// Table cells of the plans the memo keeps (≤ kMaxPlanCells).
+  double kept_plan_cells() const { return kept_cells_; }
 
  protected:
   /// Under a budget the ladder *degrades* instead of failing: a rung
@@ -469,14 +508,42 @@ class AutoEngine : public ProbabilityEngine {
                             const QueryBudget& budget) override;
 
  private:
-  EngineResult Plan(const BoolCircuit& circuit, GateId root,
-                    const EventRegistry& registry, const QueryBudget& budget);
+  /// The memoised decision for one root.
+  struct RootPlan {
+    size_t cone_events = 0;
+    int width = -1;  ///< Min-degree width estimate; -1 until measured.
+    std::unique_ptr<const JunctionTreePlan> plan;  ///< While kept.
+    std::list<GateId>::iterator lru;  ///< Position in lru_ while kept.
+  };
+
+  /// The ladder for `root` under `entry`'s decision (`analysis`: the
+  /// width analysis already made, if any). With `keep`, a built plan is
+  /// offered to the memo.
+  EngineResult Ladder(const BoolCircuit& circuit, GateId root,
+                      const EventRegistry& registry, const Evidence& evidence,
+                      const QueryBudget& budget, RootPlan& entry,
+                      std::optional<JunctionTreeAnalysis>& analysis,
+                      bool keep);
+  /// `entry.width`, measured on first use; the analysis that measured
+  /// it is left in `analysis` for the plan build.
+  int MeasureWidth(const BoolCircuit& circuit, GateId root, RootPlan& entry,
+                   std::optional<JunctionTreeAnalysis>& analysis);
+  /// Moves `plan` into `entry` if it fits under kMaxPlanCells, evicting
+  /// least recently used plans first; false (plan untouched) if it is
+  /// larger than the bound.
+  bool Keep(GateId root, RootPlan& entry, JunctionTreePlan& plan);
 
   Limits limits_;
   ExhaustiveEngine exhaustive_;
   BddEngine bdd_;
   HybridEngine hybrid_;
   SamplingEngine sampling_;
+
+  uint64_t circuit_id_ = 0;  ///< BoolCircuit::id() the memo belongs to.
+  std::unordered_map<GateId, RootPlan> memo_;
+  std::list<GateId> lru_;  ///< Roots with a kept plan, most recent first.
+  double kept_cells_ = 0;
+  uint64_t plans_built_ = 0;
 };
 
 /// Convenience factory for the common default.

@@ -26,11 +26,39 @@ const DecomposedInstance& QuerySession::Decomposition() {
   return *decomposition_;
 }
 
+void QuerySession::SyncLineageMemo() {
+  if (pcc_.instance().NumFacts() != memo_facts_ ||
+      pcc_.circuit().id() != memo_circuit_) {
+    ClearLineageMemo();
+    memo_facts_ = pcc_.instance().NumFacts();
+    memo_circuit_ = pcc_.circuit().id();
+  }
+}
+
+void QuerySession::ClearLineageMemo() {
+  cq_roots_.clear();
+  reachability_roots_.clear();
+}
+
 GateId QuerySession::CqLineage(const ConjunctiveQuery& query,
                                LineageStats* stats) {
   const DecomposedInstance& dec = Decomposition();
-  return ComputeCqLineageOnDecomposition(query, pcc_, dec.ntd,
-                                         dec.facts_at_node, stats);
+  SyncLineageMemo();
+  std::vector<uint64_t> key;
+  for (const QueryAtom& atom : query.atoms()) {
+    key.push_back(atom.relation);
+    key.push_back(atom.terms.size());
+    for (const Term& term : atom.terms) {
+      key.push_back(term.is_var ? (uint64_t{1} << 32) | term.var
+                                : term.constant);
+    }
+  }
+  auto it = cq_roots_.find(key);
+  if (it != cq_roots_.end() && stats == nullptr) return it->second;
+  const GateId root = ComputeCqLineageOnDecomposition(
+      query, pcc_, dec.ntd, dec.facts_at_node, stats);
+  cq_roots_.insert_or_assign(std::move(key), root);
+  return root;
 }
 
 GateId QuerySession::UcqLineage(const UnionOfConjunctiveQueries& query,
@@ -57,9 +85,16 @@ GateId QuerySession::ReachabilityLineage(RelationId edge_relation,
                                          Value source, Value target,
                                          LineageStats* stats) {
   const DecomposedInstance& dec = Decomposition();
-  return ComputeReachabilityLineageOnDecomposition(
+  SyncLineageMemo();
+  const auto key = std::make_tuple(edge_relation, source, target);
+  auto it = reachability_roots_.find(key);
+  if (it != reachability_roots_.end() && stats == nullptr) return it->second;
+  if (dec.ntd.Width() > kMaxReachabilityWidth) return kInvalidGate;
+  const GateId root = ComputeReachabilityLineageOnDecomposition(
       pcc_, edge_relation, source, target, dec.ntd, dec.facts_at_node,
       stats);
+  reachability_roots_.insert_or_assign(key, root);
+  return root;
 }
 
 std::vector<GateId> QuerySession::ReachabilityLineageBatch(
@@ -67,6 +102,9 @@ std::vector<GateId> QuerySession::ReachabilityLineageBatch(
     LineageStats* stats) {
   const DecomposedInstance& dec = Decomposition();
   if (stats != nullptr) *stats = LineageStats{};
+  if (dec.ntd.Width() > kMaxReachabilityWidth) {
+    return std::vector<GateId>(targets.size(), kInvalidGate);
+  }
   std::vector<GateId> result;
   result.reserve(targets.size());
   // The joint DP tracks, per state, a block assignment for every

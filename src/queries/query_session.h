@@ -2,8 +2,10 @@
 #define TUD_QUERIES_QUERY_SESSION_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -87,12 +89,27 @@ class QuerySession {
 
   /// Installs a repaired/rebuilt decomposition (the structural-update
   /// path: IncrementalSession patches the stored elimination order and
-  /// swaps the result in; later lineage constructions use it).
+  /// swaps the result in; later lineage constructions use it). Drops the
+  /// lineage memo.
   void ReplaceDecomposition(DecomposedInstance decomposition) {
     decomposition_ = std::move(decomposition);
+    ClearLineageMemo();
   }
 
   /// Lineage construction over the shared decomposition.
+  ///
+  /// CqLineage and ReachabilityLineage memoise the root gate per
+  /// question — (relation, terms) per atom, or (relation, source,
+  /// target) — so a repeated question skips the DP. Hash-consing makes
+  /// the memoised gate the one a rerun would return. The memo is dropped
+  /// by ReplaceDecomposition and whenever the instance's fact count (or
+  /// its circuit) changes, which covers IncrementalSession's inserts and
+  /// a direct pcc().AddFact. A call that asks for `stats` reruns the DP.
+  ///
+  /// Reachability needs a decomposition of width at most
+  /// kMaxReachabilityWidth: on a wider one, ReachabilityLineage and
+  /// ReachabilityLineageBatch return kInvalidGate (never memoised), and
+  /// Probability on it returns kInvalidArgument.
   GateId CqLineage(const ConjunctiveQuery& query,
                    LineageStats* stats = nullptr);
   GateId UcqLineage(const UnionOfConjunctiveQueries& query,
@@ -110,8 +127,9 @@ class QuerySession {
   /// encodings, backing off to the single-target DP on wide instances,
   /// where jointly-tracked targets would blow up the DP state count and
   /// with it the emitted circuit's treewidth. Returns one gate per
-  /// target, in input order. `stats` accumulates over chunks
-  /// (width/nodes from the last chunk).
+  /// target, in input order (kInvalidGate for every target on a
+  /// decomposition wider than kMaxReachabilityWidth). `stats`
+  /// accumulates over chunks (width/nodes from the last chunk).
   std::vector<GateId> ReachabilityLineageBatch(RelationId edge_relation,
                                                Value source,
                                                const std::vector<Value>& targets,
@@ -133,10 +151,20 @@ class QuerySession {
                      const Evidence& evidence = {});
 
  private:
+  /// Drops the lineage memo if the instance changed since it was filled.
+  void SyncLineageMemo();
+  void ClearLineageMemo();
+
   PccInstance pcc_;
   std::unique_ptr<ProbabilityEngine> engine_;
   std::optional<DecomposedInstance> decomposition_;
   incremental::DirtyLog dirty_;
+  /// The lineage memo (see CqLineage), valid for `memo_facts_` facts
+  /// over the circuit `memo_circuit_` (BoolCircuit::id()).
+  std::map<std::vector<uint64_t>, GateId> cq_roots_;
+  std::map<std::tuple<RelationId, Value, Value>, GateId> reachability_roots_;
+  size_t memo_facts_ = 0;
+  uint64_t memo_circuit_ = 0;
 };
 
 /// The tree-shaped counterpart for automaton-defined queries: owns an

@@ -201,7 +201,8 @@ GateId ComputeReachabilityLineageOnDecomposition(
   const size_t domain = pcc.instance().DomainSize();
   if (source >= domain || target >= domain) return circuit.AddConst(false);
 
-  TUD_CHECK_LE(ntd.Width(), 14) << "bag too large for connectivity masks";
+  TUD_CHECK_LE(ntd.Width(), kMaxReachabilityWidth)
+      << "bag too large for connectivity masks";
   if (stats != nullptr) {
     stats->decomposition_width = ntd.Width();
     stats->num_nice_nodes = ntd.NumNodes();
@@ -554,7 +555,8 @@ std::vector<GateId> ComputeMultiTargetReachabilityLineageOnDecomposition(
   const size_t num_targets = pending.size();
   TUD_CHECK_LE(num_targets, kMaxReachabilityTargetsPerDp)
       << "chunk target batteries (QuerySession::ReachabilityLineageBatch)";
-  TUD_CHECK_LE(ntd.Width(), 14) << "bag too large for connectivity masks";
+  TUD_CHECK_LE(ntd.Width(), kMaxReachabilityWidth)
+      << "bag too large for connectivity masks";
 
   std::vector<std::vector<GateId>> witnesses(num_targets);
   std::vector<MTable> table(ntd.NumNodes());

@@ -27,7 +27,8 @@ namespace tud {
 ///
 /// The returned gate is true in exactly the possible worlds where a path
 /// of present edges connects `source` to `target` (true trivially if
-/// source == target).
+/// source == target). Requires a decomposition of width at most
+/// kMaxReachabilityWidth (checked).
 ///
 /// The DP tables are flat: states are packed into two words (4 bits per
 /// bag position for the partition, plus the flag masks and the done bit)
@@ -47,6 +48,12 @@ GateId ComputeReachabilityLineageOnDecomposition(
     const NiceTreeDecomposition& ntd,
     const std::vector<std::vector<FactId>>& facts_at_node,
     LineageStats* stats = nullptr);
+
+/// Widest decomposition the connectivity DPs accept: bags of up to 15
+/// vertices, whose block ids fit the 4-bit packing and the 16-bit
+/// source/target masks. The DPs abort on wider decompositions;
+/// QuerySession refuses such questions with kInvalidGate instead.
+inline constexpr int kMaxReachabilityWidth = 14;
 
 /// At most this many targets per target-indexed DP call: the per-target
 /// block assignment packs into 4 bits per target of one key word.

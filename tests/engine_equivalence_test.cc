@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,7 +16,11 @@
 #include "inference/exhaustive.h"
 #include "inference/hybrid.h"
 #include "inference/junction_tree.h"
+#include "queries/query_session.h"
+#include "uncertain/c_instance.h"
+#include "uncertain/tid_instance.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace tud {
 namespace {
@@ -250,6 +255,211 @@ TEST(SeededJunctionTreeTest, MatchesGenericOrder) {
     // threshold, so seeding can never make inference blow up.
     EXPECT_LE(seeded_stats.width, std::max(generic_stats.width, 10));
   }
+}
+
+// ---------------------------------------------------------------------------
+// AutoEngine's per-root decision and plan memo
+// ---------------------------------------------------------------------------
+
+// A chain of ORs over `n` events: past the exhaustive and BDD cutoffs,
+// a path-shaped primal graph, so the planner picks the junction tree.
+BoolCircuit OrChain(EventRegistry& registry, uint32_t n, GateId* root) {
+  BoolCircuit c;
+  *root = c.AddVar(registry.Register("e0", 0.3));
+  for (EventId e = 1; e < n; ++e) {
+    *root = c.AddOr(*root, c.AddVar(registry.Register(
+                               "e" + std::to_string(e), 0.05 + 0.01 * e)));
+  }
+  return c;
+}
+
+// P(OrChain | evidence) in closed form: 1 - Π (1 - p_e) over the
+// unpinned events, or 1 when an event is pinned true.
+double OrChainProbability(const EventRegistry& registry, uint32_t n,
+                          const Evidence& evidence) {
+  double none = 1.0;
+  for (EventId e = 0; e < n; ++e) {
+    auto pin = std::find_if(evidence.begin(), evidence.end(),
+                            [&](const auto& lit) { return lit.first == e; });
+    if (pin == evidence.end()) {
+      none *= 1.0 - registry.probability(e);
+    } else if (pin->second) {
+      return 1.0;
+    }
+  }
+  return 1.0 - none;
+}
+
+TEST(AutoEngineMemoTest, RepeatsBuildOnePlanAndAnswerBitIdentically) {
+  EventRegistry registry;
+  GateId root;
+  const BoolCircuit c = OrChain(registry, 24, &root);
+  const std::vector<Evidence> asks = {
+      {}, {{3, true}}, {{3, false}, {7, true}}, {{20, false}}};
+  AutoEngine engine;
+  std::vector<double> first;
+  for (const Evidence& evidence : asks) {
+    EngineResult r = engine.Estimate(c, root, registry, evidence);
+    ASSERT_STREQ(r.engine, "junction_tree");
+    EXPECT_NEAR(r.value, OrChainProbability(registry, 24, evidence), 1e-12);
+    first.push_back(r.value);
+  }
+  EXPECT_EQ(engine.plans_built(), 1u);
+  for (int round = 0; round < 3; ++round) {
+    for (size_t i = 0; i < asks.size(); ++i) {
+      EXPECT_EQ(engine.Estimate(c, root, registry, asks[i]).value, first[i]);
+    }
+  }
+  EXPECT_EQ(engine.plans_built(), 1u);
+  EXPECT_GT(engine.kept_plan_cells(), 0.0);
+  EXPECT_LE(engine.kept_plan_cells(), AutoEngine::kMaxPlanCells);
+
+  // The governed path executes the kept plan too.
+  QueryBudget budget;
+  budget.max_table_cells = 1u << 20;
+  for (size_t i = 0; i < asks.size(); ++i) {
+    EngineResult r = engine.Estimate(c, root, registry, asks[i], budget);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value, first[i]);
+  }
+  EXPECT_EQ(engine.plans_built(), 1u);
+}
+
+TEST(AutoEngineMemoTest, UnconditionedAskPicksTheFreshEngine) {
+  // Whatever a root was first asked under, its unconditioned answer
+  // comes from the engine a fresh planner picks, with the same value.
+  std::set<std::string> engines;
+  for (int seed = 0; seed < 12; ++seed) {
+    // An OR of pairwise ANDs reading every event: 6 .. 21 cone events,
+    // so the exhaustive, BDD and junction-tree rungs all occur.
+    Rng rng(seed + 900);
+    const uint32_t num_events = 6 + 3 * (seed % 6);
+    EventRegistry registry = RandomRegistry(rng, num_events);
+    BoolCircuit c;
+    std::vector<GateId> clauses;
+    for (EventId e = 0; e < num_events; ++e) {
+      const EventId other = static_cast<EventId>(rng.UniformInt(num_events));
+      clauses.push_back(c.AddAnd(c.AddVar(e), c.AddVar(other)));
+    }
+    const GateId root = c.AddOr(std::move(clauses));
+    AutoEngine fresh;
+    const EngineResult want = fresh.Estimate(c, root, registry);
+    AutoEngine memoised;
+    const Evidence evidence = {{0, seed % 2 == 0}};
+    EngineResult conditioned = memoised.Estimate(c, root, registry, evidence);
+    EXPECT_NEAR(conditioned.value,
+                JunctionTreeProbabilityWithEvidence(c, root, registry,
+                                                    evidence),
+                1e-9)
+        << "seed " << seed;
+    const EngineResult got = memoised.Estimate(c, root, registry);
+    EXPECT_STREQ(got.engine, want.engine) << "seed " << seed;
+    EXPECT_EQ(got.value, want.value) << "seed " << seed;
+    engines.insert(want.engine);
+  }
+  EXPECT_GE(engines.size(), 3u);  // Exhaustive, BDD and junction tree.
+}
+
+TEST(AutoEngineMemoTest, BudgetRefusedPlanIsNotKept) {
+  EventRegistry registry;
+  GateId root;
+  const BoolCircuit c = OrChain(registry, 24, &root);
+  const double cells =
+      JunctionTreePlan::Build(JunctionTreeAnalysis::Analyze(c, root))
+          .total_cells();
+  AutoEngine engine;
+  QueryBudget tight;
+  tight.max_table_cells = static_cast<uint64_t>(cells) - 1;
+  EngineResult degraded = engine.Estimate(c, root, registry, {}, tight);
+  EXPECT_STRNE(degraded.engine, "junction_tree");
+  EXPECT_GE(degraded.stats.degradations, 1u);
+  EXPECT_EQ(engine.kept_plan_cells(), 0.0);
+
+  const EngineResult exact = engine.Estimate(c, root, registry);
+  ASSERT_STREQ(exact.engine, "junction_tree");
+  EXPECT_EQ(engine.kept_plan_cells(), cells);
+  const uint64_t built = engine.plans_built();
+  // A kept plan the caller's budget cannot afford still degrades.
+  EXPECT_STRNE(engine.Estimate(c, root, registry, {}, tight).engine,
+               "junction_tree");
+  EXPECT_EQ(engine.plans_built(), built);
+}
+
+TEST(AutoEngineMemoTest, KeptPlansStayWithinTheCellBound) {
+  const workloads::InstanceSpec spec =
+      *workloads::ParseInstanceSpec("ladder:48");
+  TidInstance tid = workloads::MakeInstance(spec);
+  QuerySession session = QuerySession::FromCInstance(tid.ToPcInstance());
+  const auto [source, target] = workloads::CanonicalEndpoints(spec);
+  std::vector<GateId> roots;
+  double total = 0;
+  for (Value s = source; s < source + 4; ++s) {
+    for (Value t = target - 1; t <= target; ++t) {
+      roots.push_back(session.ReachabilityLineage(0, s, t));
+      total += JunctionTreePlan::Build(session.pcc().circuit(), roots.back())
+                   .total_cells();
+    }
+  }
+  ASSERT_GT(total, AutoEngine::kMaxPlanCells);  // Eviction must happen.
+
+  AutoEngine engine;
+  std::vector<double> first;
+  for (GateId root : roots) {
+    EngineResult r = engine.Estimate(session.pcc().circuit(), root,
+                                      session.pcc().events());
+    ASSERT_STREQ(r.engine, "junction_tree");
+    first.push_back(r.value);
+    EXPECT_LE(engine.kept_plan_cells(), AutoEngine::kMaxPlanCells);
+  }
+  EXPECT_EQ(engine.plans_built(), roots.size());
+  // The least recently used root was evicted: it rebuilds, and answers
+  // bit-identically.
+  EXPECT_EQ(engine.Estimate(session.pcc().circuit(), roots[0],
+                            session.pcc().events())
+                .value,
+            first[0]);
+  EXPECT_EQ(engine.plans_built(), roots.size() + 1);
+  EXPECT_LE(engine.kept_plan_cells(), AutoEngine::kMaxPlanCells);
+  // The most recently used one is still kept.
+  EXPECT_EQ(engine.Estimate(session.pcc().circuit(), roots.back(),
+                            session.pcc().events())
+                .value,
+            first.back());
+  EXPECT_EQ(engine.plans_built(), roots.size() + 1);
+}
+
+TEST(AutoEngineMemoTest, NewCircuitAtARecycledAddressIsAnsweredAfresh) {
+  // One engine over circuits built in a loop, each at the same stack
+  // address with the same root id and root kind but a different
+  // function: a memo bound to the address would reuse a stale plan.
+  AutoEngine::Limits limits;
+  limits.exhaustive_max_events = 0;  // Straight to the junction tree,
+  limits.bdd_max_events = 0;         // whose plans the memo keeps.
+  AutoEngine engine(limits);
+  EventRegistry registry;
+  for (EventId e = 0; e < 12; ++e) {
+    registry.Register("e" + std::to_string(e), 0.1 + 0.07 * e);
+  }
+  GateId first_root = kInvalidGate;
+  for (int i = 0; i < 8; ++i) {
+    BoolCircuit c;
+    std::vector<GateId> vars;
+    for (EventId e = 0; e < 12; ++e) vars.push_back(c.AddVar(e));
+    GateId acc = vars[0];
+    for (EventId e = 1; e < 11; ++e) {
+      const GateId negated = c.AddNot(vars[e]);
+      acc = ((i >> (e % 3)) & 1) != 0 ? c.AddAnd(acc, negated)
+                                      : c.AddOr(acc, negated);
+    }
+    const GateId root = c.AddOr(acc, vars[11]);
+    if (first_root == kInvalidGate) first_root = root;
+    ASSERT_EQ(root, first_root);
+    EngineResult r = engine.Estimate(c, root, registry);
+    EXPECT_STREQ(r.engine, "junction_tree");
+    EXPECT_NEAR(r.value, ExhaustiveProbability(c, root, registry), 1e-12)
+        << "circuit " << i;
+  }
+  EXPECT_EQ(engine.plans_built(), 8u);
 }
 
 }  // namespace

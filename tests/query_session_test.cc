@@ -12,6 +12,7 @@
 #include "automata/provenance_run.h"
 #include "events/valuation.h"
 #include "gtest/gtest.h"
+#include "incremental/incremental_session.h"
 #include "inference/exhaustive.h"
 #include "inference/junction_tree.h"
 #include "queries/answers.h"
@@ -22,6 +23,7 @@
 #include "uncertain/tid_instance.h"
 #include "uncertain/worlds.h"
 #include "util/rng.h"
+#include "workloads/workloads.h"
 
 namespace tud {
 namespace {
@@ -210,6 +212,111 @@ TEST(TreeQuerySessionTest, RepeatedQueriesReuseCompilationAndGates) {
   EXPECT_EQ(session.tree().circuit().NumGates(), gates_after_first);
   EXPECT_NEAR(first, second, 0.0);
   EXPECT_NEAR(first, 0.5, 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// The lineage memo
+// ---------------------------------------------------------------------------
+
+ConjunctiveQuery BoundRst(RelationId r, RelationId s, RelationId t, Value c) {
+  return BindVariables(ConjunctiveQuery::RstPath(r, s, t), {0}, {c});
+}
+
+TEST(LineageMemoTest, RepeatReturnsTheSameGateAndAddsNone) {
+  RelationId r, s, t;
+  Schema schema = RstSchema(&r, &s, &t);
+  Rng rng(31);
+  TidInstance tid = SmallRstTid(rng, r, s, t, schema, 5);
+  QuerySession session = QuerySession::FromCInstance(tid.ToPcInstance());
+  BoolCircuit& circuit = session.pcc().circuit();
+  const ConjunctiveQuery q = BoundRst(r, s, t, 2);
+
+  const GateId cq = session.CqLineage(q);
+  const GateId reach = session.ReachabilityLineage(s, 0, 4);
+  const size_t gates = circuit.NumGates();
+  EXPECT_EQ(session.CqLineage(q), cq);
+  EXPECT_EQ(session.ReachabilityLineage(s, 0, 4), reach);
+  EXPECT_EQ(circuit.NumGates(), gates);
+
+  // The memoised gate is the one the DP returns on the same session.
+  const DecomposedInstance& dec = session.Decomposition();
+  EXPECT_EQ(ComputeCqLineageOnDecomposition(q, session.pcc(), dec.ntd,
+                                            dec.facts_at_node),
+            cq);
+  EXPECT_EQ(ComputeReachabilityLineageOnDecomposition(
+                session.pcc(), s, 0, 4, dec.ntd, dec.facts_at_node),
+            reach);
+
+  // Asking for stats reruns the DP and fills them.
+  LineageStats cq_stats;
+  EXPECT_EQ(session.CqLineage(q, &cq_stats), cq);
+  EXPECT_GT(cq_stats.num_nice_nodes, 0u);
+  EXPECT_GT(cq_stats.total_states, 0u);
+  LineageStats reach_stats;
+  EXPECT_EQ(session.ReachabilityLineage(s, 0, 4, &reach_stats), reach);
+  EXPECT_GT(reach_stats.num_nice_nodes, 0u);
+  EXPECT_GT(reach_stats.total_states, 0u);
+  EXPECT_EQ(circuit.NumGates(), gates);
+
+  // Other bound parameters are other questions.
+  EXPECT_NE(session.CqLineage(BoundRst(r, s, t, 3)), cq);
+  EXPECT_NE(session.ReachabilityLineage(s, 0, 3), reach);
+}
+
+TEST(LineageMemoTest, InsertTouchingTheQuestionRecomputesTheRoot) {
+  RelationId r, s, t;
+  Schema schema = RstSchema(&r, &s, &t);
+  Rng rng(32);
+  TidInstance tid = SmallRstTid(rng, r, s, t, schema, 3);
+  QuerySession session = QuerySession::FromCInstance(tid.ToPcInstance());
+  incremental::IncrementalSession inc(session);
+  const ConjunctiveQuery q = BoundRst(r, s, t, 1);
+  auto oracle = [&](auto holds) {
+    return ProbabilityByEnumeration(
+        session.pcc().events(),
+        [&](const Valuation& v) { return holds(session.pcc().World(v)); });
+  };
+  auto cq_holds = [&](const Instance& world) { return q.EvaluateBool(world); };
+  auto path_holds = [&](const Instance& world) {
+    return EvaluateReachability(world, s, 0, 5);
+  };
+
+  const GateId cq_before = session.CqLineage(q);
+  const GateId path_before = session.ReachabilityLineage(s, 0, 5);
+  EXPECT_NEAR(session.Probability(cq_before).value, oracle(cq_holds), 1e-12);
+  EXPECT_EQ(session.Probability(path_before).value, 0.0);  // 5 is isolated.
+
+  // S(1, 5) and T(5) add a derivation of the question, S(3, 5) a path.
+  inc.InsertFact(s, {1, 5}, 0.4);
+  inc.InsertFact(t, {5}, 0.7);
+  inc.InsertFact(s, {3, 5}, 0.6);
+  const GateId cq_after = session.CqLineage(q);
+  const GateId path_after = session.ReachabilityLineage(s, 0, 5);
+  EXPECT_NE(cq_after, cq_before);
+  EXPECT_NE(path_after, path_before);
+  EXPECT_NEAR(session.Probability(cq_after).value, oracle(cq_holds), 1e-12);
+  EXPECT_NEAR(session.Probability(path_after).value, oracle(path_holds),
+              1e-12);
+  EXPECT_GT(session.Probability(path_after).value, 0.0);
+}
+
+TEST(LineageMemoTest, WideDecompositionRefusesReachabilityWithAStatus) {
+  const workloads::InstanceSpec spec =
+      *workloads::ParseInstanceSpec("ktree:60x16");
+  TidInstance tid = workloads::MakeInstance(spec);
+  const auto [source, target] = workloads::CanonicalEndpoints(spec);
+  QuerySession session = QuerySession::FromCInstance(tid.ToPcInstance());
+  ASSERT_GT(session.Decomposition().ntd.Width(), kMaxReachabilityWidth);
+
+  const GateId lineage = session.ReachabilityLineage(0, source, target);
+  EXPECT_EQ(lineage, kInvalidGate);
+  const EngineResult result = session.Probability(lineage);
+  EXPECT_EQ(result.status, EngineStatus::kInvalidArgument);
+  EXPECT_EQ(result.error_bound, 1.0);
+  // Not memoised: a repeat refuses again.
+  EXPECT_EQ(session.ReachabilityLineage(0, source, target), kInvalidGate);
+  EXPECT_EQ(session.ReachabilityLineageBatch(0, source, {target, source + 1}),
+            (std::vector<GateId>{kInvalidGate, kInvalidGate}));
 }
 
 }  // namespace
